@@ -52,7 +52,7 @@ OooCore::stageDispatch()
         DynInst &inst = arena.get(ref);
         if (now < inst.fetchCycle + uint64_t(prm.frontEndDepth))
             break;
-        if (rob.full()) {
+        if (rob.size() >= prm.robSize) {
             ++st.dispatchBlockedRob;
             break;
         }
@@ -69,7 +69,7 @@ OooCore::stageDispatch()
 
         fetchBuffer.pop_front();
         dispatchCommon(ref);
-        rob.pushBack(ref);
+        rob.push_back(ref);
         inst.inRob = true;
         if (needs_iq) {
             iq.insert(ref);
@@ -88,7 +88,7 @@ OooCore::onCommitInst(InstRef inst)
 {
     KILO_ASSERT(!rob.empty() && rob.front() == inst,
                 "ROB head does not match committing instruction");
-    rob.popFront();
+    rob.pop_front();
     arena.get(inst).inRob = false;
 }
 
@@ -97,7 +97,7 @@ OooCore::onSquashInst(InstRef inst)
 {
     KILO_ASSERT(!rob.empty() && rob.back() == inst,
                 "ROB tail does not match squashed instruction");
-    rob.popBack();
+    rob.pop_back();
     arena.get(inst).inRob = false;
 }
 
@@ -127,6 +127,8 @@ void
 OooCore::restoreDerived(ckpt::Source &s)
 {
     rob.load(s);
+    KILO_ASSERT(rob.size() <= prm.robSize,
+                "ROB checkpoint exceeds capacity");
     intIq.load(s);
     fpIq.load(s);
     fus.load(s);

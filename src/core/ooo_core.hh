@@ -11,7 +11,7 @@
 #pragma once
 
 #include "src/core/pipeline_base.hh"
-#include "src/util/circular_buffer.hh"
+#include "src/util/ring_deque.hh"
 
 namespace kilo::core
 {
@@ -47,7 +47,9 @@ class OooCore : public PipelineBase
      *  integer-side; FP arithmetic is FP-side). */
     IssueQueue &queueFor(const DynInst &inst);
 
-    CircularBuffer<InstRef> rob;
+    /** Sized for prm.robSize up front; dispatch stops at robSize,
+     *  so the ring never grows. */
+    RingDeque<InstRef> rob;
     IssueQueue intIq;
     IssueQueue fpIq;
     FuPool fus;

@@ -236,7 +236,7 @@ DkipCore::stageAnalyze()
             // destination as high-locality.
             if (head.op.dst != isa::NoReg)
                 llbv.clear(size_t(head.op.dst));
-            rob.popFront();
+            rob.pop_front();
             releaseAgingRobEntry(head);
             --budget;
             ++activity;
@@ -250,7 +250,7 @@ DkipCore::stageAnalyze()
                 // LLIB's value FIFO when memory returns.
                 if (head.op.dst != isa::NoReg)
                     llbv.set(size_t(head.op.dst));
-                rob.popFront();
+                rob.pop_front();
                 releaseAgingRobEntry(head);
                 --budget;
                 ++activity;
@@ -304,7 +304,7 @@ DkipCore::stageAnalyze()
             } else if (!insertIntoLlib(headRef)) {
                 break;
             }
-            rob.popFront();
+            rob.pop_front();
             releaseAgingRobEntry(head);
             --budget;
             ++activity;
@@ -386,7 +386,7 @@ DkipCore::onSquashInst(InstRef ref)
 {
     core::DynInst &inst = arena.get(ref);
     if (!rob.empty() && rob.back() == ref) {
-        rob.popBack();
+        rob.pop_back();
         inst.inRob = false;
     }
     if (inst.inLlib) {

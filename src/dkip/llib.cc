@@ -7,17 +7,18 @@ namespace kilo::dkip
 
 Llib::Llib(std::string name, size_t capacity,
            core::InstArena &inst_arena)
-    : arena(inst_arena), label(std::move(name)), q(capacity)
+    : arena(inst_arena), label(std::move(name)), cap(capacity),
+      q(capacity)
 {}
 
 void
 Llib::push(core::InstRef ref)
 {
-    KILO_ASSERT(!q.full(), "push into full LLIB %s", label.c_str());
+    KILO_ASSERT(!full(), "push into full LLIB %s", label.c_str());
     KILO_ASSERT(q.empty() ||
                     arena.get(q.back()).seq < arena.get(ref).seq,
                 "LLIB insertion out of program order");
-    q.pushBack(ref);
+    q.push_back(ref);
     if (q.size() > maxOcc)
         maxOcc = q.size();
 }
@@ -27,7 +28,7 @@ Llib::notifySquashed(core::InstRef ref)
 {
     KILO_ASSERT(!q.empty() && q.back() == ref,
                 "LLIB squash of non-youngest entry");
-    q.popBack();
+    q.pop_back();
 }
 
 bool

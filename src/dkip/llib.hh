@@ -14,7 +14,8 @@
 
 #include "src/core/dyn_inst.hh"
 #include "src/core/inst_arena.hh"
-#include "src/util/circular_buffer.hh"
+#include "src/util/logging.hh"
+#include "src/util/ring_deque.hh"
 
 namespace kilo::dkip
 {
@@ -26,10 +27,10 @@ class Llib
     Llib(std::string name, size_t capacity, core::InstArena &arena);
 
     const std::string &name() const { return label; }
-    size_t capacity() const { return q.capacity(); }
+    size_t capacity() const { return cap; }
     size_t size() const { return q.size(); }
     bool empty() const { return q.empty(); }
-    bool full() const { return q.full(); }
+    bool full() const { return q.size() >= cap; }
 
     /** High-water mark of occupancy (Figures 13/14). */
     uint64_t maxOccupancy() const { return maxOcc; }
@@ -41,7 +42,13 @@ class Llib
     core::InstRef front() const { return q.front(); }
 
     /** Remove the oldest entry (extraction into the MP). */
-    core::InstRef popFront() { return q.popFront(); }
+    core::InstRef
+    popFront()
+    {
+        core::InstRef ref = q.front();
+        q.pop_front();
+        return ref;
+    }
 
     /** @p ref was squashed; it must be the youngest entry. */
     void notifySquashed(core::InstRef ref);
@@ -53,7 +60,9 @@ class Llib
     bool headBlocked() const;
 
     /** Serialize / restore the FIFO contents (handles into the shared
-     *  arena, serialized alongside) and the high-water mark. @{ */
+     *  arena, serialized alongside) and the high-water mark. The
+     *  capacity is configuration: a checkpoint that holds more
+     *  entries than it is rejected. @{ */
     template <typename Sink>
     void
     save(Sink &s) const
@@ -67,6 +76,9 @@ class Llib
     load(Source &s)
     {
         q.load(s);
+        KILO_ASSERT(q.size() <= cap,
+                    "LLIB %s checkpoint exceeds capacity",
+                    label.c_str());
         maxOcc = s.template scalar<uint64_t>();
     }
     /** @} */
@@ -74,7 +86,8 @@ class Llib
   private:
     core::InstArena &arena;
     std::string label;
-    CircularBuffer<core::InstRef> q;
+    size_t cap;
+    RingDeque<core::InstRef> q;  ///< sized for cap up front; never grows
     uint64_t maxOcc = 0;
 };
 

@@ -155,7 +155,7 @@ KiloCore::stageAnalyze()
         if (head.completed) {
             if (head.op.dst != isa::NoReg)
                 llbv.clear(size_t(head.op.dst));
-            rob.popFront();
+            rob.pop_front();
             releaseAgingRobEntry(head);
             --budget;
             ++activity;
@@ -166,7 +166,7 @@ KiloCore::stageAnalyze()
             if (head.longLatency) {
                 if (head.op.dst != isa::NoReg)
                     llbv.set(size_t(head.op.dst));
-                rob.popFront();
+                rob.pop_front();
                 releaseAgingRobEntry(head);
                 --budget;
                 ++activity;
@@ -195,7 +195,7 @@ KiloCore::stageAnalyze()
         if (low) {
             if (!moveToSliq(headRef))
                 break;
-            rob.popFront();
+            rob.pop_front();
             releaseAgingRobEntry(head);
             --budget;
             ++activity;
@@ -220,7 +220,7 @@ void
 KiloCore::onSquashInst(InstRef inst)
 {
     if (!rob.empty() && rob.back() == inst) {
-        rob.popBack();
+        rob.pop_back();
         arena.get(inst).inRob = false;
     }
     // SLIQ residency is handled through DynInst::iqId by the base.

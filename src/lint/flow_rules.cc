@@ -2,20 +2,17 @@
  * @file
  * kilolint's semantic tier: rules over the cross-TU ProjectModel
  * (layering, include cycles, stats liveness/schema sync) and
- * function-scope flow (switch exhaustiveness over project enums,
- * Session phase order).
+ * function-scope flow (Session phase order).
  *
  * Same philosophy as the token rules in rules.cc: heuristic, zero
- * false positives on this tree, degrade by dropping the check — an
- * enum name defined twice with different enumerator lists is simply
- * not checked, a switch whose labels the matcher cannot resolve is
- * skipped. The dynamic tests stay the authority; these rules exist
- * so a violation on a path no test drives still fails CI with a
- * file:line instead of a golden diff three PRs later.
+ * false positives on this tree, degrade by dropping the check — a
+ * stat registration whose bound field the matcher cannot resolve is
+ * simply not checked. The dynamic tests stay the authority; these
+ * rules exist so a violation on a path no test drives still fails
+ * CI with a file:line instead of a golden diff three PRs later.
  */
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <map>
 #include <set>
@@ -29,20 +26,6 @@ namespace kilo::lint
 
 namespace
 {
-
-bool
-isPunct(const Token &t, const char *text)
-{
-    return t.kind == TokKind::Punct && t.text == text;
-}
-
-/** tokens[i], or a harmless sentinel when out of range. */
-const Token &
-at(const std::vector<Token> &t, size_t i)
-{
-    static const Token sentinel{TokKind::Punct, "", 0, 0, 0};
-    return i < t.size() ? t[i] : sentinel;
-}
 
 /** normalized path -> lexed file, for reporting against the path
  *  the user passed in (suppressions key on it). */
@@ -313,167 +296,6 @@ class SchemaSyncRule : public Rule
     }
 };
 
-// --------------------------------------- enum-switch-exhaustive
-
-/** NumReasons / NumKinds / ... — count sentinels, never real
- *  enumerators a switch should name. */
-bool
-isSentinel(const std::string &name)
-{
-    return name.size() > 3 && name.compare(0, 3, "Num") == 0 &&
-           std::isupper(static_cast<unsigned char>(name[3]));
-}
-
-class EnumSwitchRule : public Rule
-{
-  public:
-    EnumSwitchRule()
-        : Rule("enum-switch-exhaustive",
-               "a switch over a project enum class with no default: "
-               "names every enumerator — otherwise adding one "
-               "compiles clean and silently falls through",
-               Severity::Error)
-    {}
-
-    void
-    check(const SourceFile &, std::vector<Finding> &) const override
-    {}
-
-    void
-    checkModel(const ProjectModel &m,
-               std::vector<Finding> &out) const override
-    {
-        // Enum registry; a name defined with two different
-        // enumerator lists (stats::Kind vs Lsq::Kind) is ambiguous
-        // at token level and dropped.
-        std::map<std::string, const EnumDef *> defs;
-        std::set<std::string> ambiguous;
-        for (const EnumDef &d : m.enums()) {
-            auto [it, fresh] = defs.emplace(d.name, &d);
-            if (!fresh && it->second->enumerators != d.enumerators)
-                ambiguous.insert(d.name);
-        }
-        for (const std::string &name : ambiguous)
-            defs.erase(name);
-
-        for (const SourceFile *f : m.files())
-            checkFile(*f, defs, out);
-    }
-
-  private:
-    void
-    checkFile(const SourceFile &f,
-              const std::map<std::string, const EnumDef *> &defs,
-              std::vector<Finding> &out) const
-    {
-        const auto &t = f.tokens;
-        for (size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                t[i].text != "switch" || !isPunct(t[i + 1], "("))
-                continue;
-
-            // Skip the condition, expect the body brace.
-            size_t j = i + 1;
-            int paren = 0;
-            for (; j < t.size(); ++j) {
-                if (isPunct(t[j], "("))
-                    ++paren;
-                else if (isPunct(t[j], ")") && --paren == 0)
-                    break;
-            }
-            if (j >= t.size() || !isPunct(at(t, j + 1), "{"))
-                continue;
-
-            // Walk the body; labels live at relative depth 1 (a
-            // nested switch's labels sit deeper and stay out).
-            size_t k = j + 1;
-            int depth = 0;
-            bool hasDefault = false;
-            std::set<std::string> covered;
-            std::string enumName;
-            bool resolvable = true;
-            for (; k < t.size(); ++k) {
-                const Token &u = t[k];
-                if (isPunct(u, "{")) {
-                    ++depth;
-                    continue;
-                }
-                if (isPunct(u, "}")) {
-                    if (--depth == 0)
-                        break;
-                    continue;
-                }
-                if (depth != 1 || u.kind != TokKind::Identifier)
-                    continue;
-                if (u.text == "default" &&
-                    isPunct(at(t, k + 1), ":")) {
-                    hasDefault = true;
-                    continue;
-                }
-                if (u.text != "case")
-                    continue;
-                // Label tokens up to ':' (the '::' pair is one
-                // token, so a lone ':' really ends the label).
-                std::string lastScope, lastName;
-                size_t e = k + 1;
-                for (; e < t.size() && !isPunct(t[e], ":"); ++e) {
-                    if (t[e].kind == TokKind::Identifier &&
-                        isPunct(at(t, e + 1), "::") &&
-                        at(t, e + 2).kind == TokKind::Identifier) {
-                        lastScope = t[e].text;
-                        lastName = t[e + 2].text;
-                    }
-                }
-                k = e;
-                if (lastScope.empty()) {
-                    resolvable = false;  // unqualified label
-                    continue;
-                }
-                if (enumName.empty())
-                    enumName = lastScope;
-                else if (enumName != lastScope)
-                    resolvable = false;  // mixed scopes
-                covered.insert(lastName);
-            }
-
-            if (hasDefault || !resolvable || enumName.empty())
-                continue;
-            auto dit = defs.find(enumName);
-            if (dit == defs.end())
-                continue;
-            const EnumDef &def = *dit->second;
-            // Every label must be a real enumerator; otherwise the
-            // scope was a namespace or a different type.
-            bool known = true;
-            for (const std::string &c : covered) {
-                if (std::find(def.enumerators.begin(),
-                              def.enumerators.end(),
-                              c) == def.enumerators.end())
-                    known = false;
-            }
-            if (!known)
-                continue;
-
-            std::string missing;
-            int nMissing = 0;
-            for (const std::string &e : def.enumerators) {
-                if (isSentinel(e) || covered.count(e))
-                    continue;
-                if (!missing.empty())
-                    missing += ", ";
-                missing += e;
-                ++nMissing;
-            }
-            if (nMissing == 0)
-                continue;
-            report(out, f, t[i].line,
-                   "switch over " + enumName + " without default: "
-                   "does not name " + missing +
-                   " — name every enumerator or add a default");
-        }
-    }
-};
-
 // ---------------------------------------------------- phase-order
 
 /**
@@ -481,7 +303,7 @@ class EnumSwitchRule : public Rule
  * is over and its RunResult harvested — a later `x.step(...)` or
  * `x.runFor(...)` on the same object in the same function body is
  * always a bug (the session asserts at run time; this catches it on
- * paths no test drives). Pure per-file rule: runs in both tiers.
+ * paths no test drives). A per-file rule: needs no model.
  */
 class PhaseOrderRule : public Rule
 {
@@ -544,7 +366,6 @@ addModelRules(RuleRegistry &reg)
     reg.add(std::make_unique<IncludeCycleRule>());
     reg.add(std::make_unique<DeadStatRule>());
     reg.add(std::make_unique<SchemaSyncRule>());
-    reg.add(std::make_unique<EnumSwitchRule>());
     reg.add(std::make_unique<PhaseOrderRule>());
 }
 

@@ -124,11 +124,9 @@ lex(std::string path, const std::string &content)
         f.allows[target].insert(rules.begin(), rules.end());
     };
 
-    auto push = [&](TokKind kind, std::string text, int at,
-                    size_t from, size_t to) {
+    auto push = [&](TokKind kind, std::string text, int at) {
         lastCodeLine = at;
-        f.tokens.push_back(
-            Token{kind, std::move(text), at, from, to});
+        f.tokens.push_back(Token{kind, std::move(text), at});
     };
 
     while (i < s.size()) {
@@ -174,7 +172,6 @@ lex(std::string path, const std::string &content)
         // caring about spacing.
         if (c == '#') {
             int startLine = line;
-            size_t startPos = i;
             std::string text;
             ++i;
             bool lastWasSpace = true;
@@ -203,8 +200,7 @@ lex(std::string path, const std::string &content)
             }
             while (!text.empty() && text.back() == ' ')
                 text.pop_back();
-            push(TokKind::Directive, std::move(text), startLine,
-                 startPos, i);
+            push(TokKind::Directive, std::move(text), startLine);
             continue;
         }
 
@@ -226,12 +222,9 @@ lex(std::string path, const std::string &content)
                 for (char bc : body)
                     if (bc == '\n')
                         ++line;
-                size_t stopPos = close == std::string::npos
-                                     ? s.size()
-                                     : close + delim.size();
-                push(TokKind::String, std::move(body), startLine, i,
-                     stopPos);
-                i = stopPos;
+                push(TokKind::String, std::move(body), startLine);
+                i = close == std::string::npos ? s.size()
+                                               : close + delim.size();
                 continue;
             }
         }
@@ -239,7 +232,6 @@ lex(std::string path, const std::string &content)
         // --------------------------------- string/char literals
         if (c == '"' || c == '\'') {
             char quote = c;
-            size_t startPos = i;
             std::string body;
             ++i;
             while (i < s.size() && s[i] != quote) {
@@ -261,7 +253,7 @@ lex(std::string path, const std::string &content)
             if (i < s.size() && s[i] == quote)
                 ++i;
             push(quote == '"' ? TokKind::String : TokKind::CharLit,
-                 std::move(body), line, startPos, i);
+                 std::move(body), line);
             continue;
         }
 
@@ -276,8 +268,7 @@ lex(std::string path, const std::string &content)
                      (s[i - 1] == 'e' || s[i - 1] == 'E' ||
                       s[i - 1] == 'p' || s[i - 1] == 'P'))))
                 ++i;
-            push(TokKind::Number, s.substr(start, i - start), line,
-                 start, i);
+            push(TokKind::Number, s.substr(start, i - start), line);
             continue;
         }
 
@@ -287,17 +278,17 @@ lex(std::string path, const std::string &content)
             while (i < s.size() && identChar(s[i]))
                 ++i;
             push(TokKind::Identifier, s.substr(start, i - start),
-                 line, start, i);
+                 line);
             continue;
         }
 
         // --------------------------------------------- puncts
         if (i + 1 < s.size() && isPunctPair(c, s[i + 1])) {
-            push(TokKind::Punct, s.substr(i, 2), line, i, i + 2);
+            push(TokKind::Punct, s.substr(i, 2), line);
             i += 2;
             continue;
         }
-        push(TokKind::Punct, std::string(1, c), line, i, i + 1);
+        push(TokKind::Punct, std::string(1, c), line);
         ++i;
     }
 

@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace kilo::lint
@@ -44,21 +45,28 @@ enum class TokKind : uint8_t
     Directive,   ///< whole preprocessor directive (text = normalised)
 };
 
-/**
- * One token, with the 1-based line it starts on and its byte extent
- * in the original buffer ([pos, end)). The extent covers the raw
- * spelling — for a string literal it includes the quotes — which is
- * what lets the autofixer (src/lint/fix.cc) splice replacements back
- * into the untokenized text.
- */
+/** One token and the 1-based line it starts on. */
 struct Token
 {
     TokKind kind = TokKind::Punct;
     std::string text;
     int line = 0;
-    size_t pos = 0;  ///< byte offset of the first character
-    size_t end = 0;  ///< one past the last byte of the spelling
 };
+
+/** True when @p t is the punctuator @p text. */
+inline bool
+isPunct(const Token &t, std::string_view text)
+{
+    return t.kind == TokKind::Punct && t.text == text;
+}
+
+/** tokens[i], or a harmless empty punctuator when out of range. */
+inline const Token &
+at(const std::vector<Token> &t, size_t i)
+{
+    static const Token sentinel{};
+    return i < t.size() ? t[i] : sentinel;
+}
 
 /** A lexed translation unit plus its suppression annotations. */
 struct SourceFile

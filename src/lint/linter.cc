@@ -73,9 +73,7 @@ namespace
 /**
  * Apply one file's allow() annotations to its raw findings: the
  * suppressed ones vanish, used/total counters advance, and stale
- * annotations turn into unused-suppression findings. Shared between
- * the per-file Linter and the whole-project Analysis — the only
- * difference is *when* the raw findings were produced.
+ * annotations turn into unused-suppression findings.
  */
 void
 applySuppressions(const SourceFile &f, std::vector<Finding> &raw,
@@ -168,30 +166,6 @@ readFileOrThrow(const std::filesystem::path &p)
 } // anonymous namespace
 
 void
-Linter::lintSource(const std::string &path,
-                   const std::string &content,
-                   LintReport &report) const
-{
-    SourceFile f = lex(path, content);
-    ++report.filesScanned;
-
-    std::vector<Finding> raw;
-    for (const auto &rule : rules_.rules()) {
-        if (rule->appliesTo(f))
-            rule->check(f, raw);
-    }
-    applySuppressions(f, raw, report);
-}
-
-void
-Linter::lintPath(const std::string &path, LintReport &report) const
-{
-    visitLintable(path, [&](const std::filesystem::path &p) {
-        lintSource(p.generic_string(), readFileOrThrow(p), report);
-    });
-}
-
-void
 Analysis::addSource(std::string path, const std::string &content)
 {
     files_.push_back(lex(std::move(path), content));
@@ -211,8 +185,8 @@ Analysis::run()
     LintReport report;
     report.filesScanned = int(files_.size());
 
-    model_ = std::make_unique<ProjectModel>(
-        ProjectModel::build(files_, opts_.layers, opts_.schema));
+    ProjectModel model =
+        ProjectModel::build(files_, opts_.layers, opts_.schema);
 
     std::vector<Finding> raw;
     for (const auto &rule : rules_.rules()) {
@@ -220,7 +194,7 @@ Analysis::run()
             if (rule->appliesTo(f))
                 rule->check(f, raw);
         }
-        rule->checkModel(*model_, raw);
+        rule->checkModel(model, raw);
     }
 
     // Suppressions act per file, whichever tier produced the
@@ -316,287 +290,6 @@ reportJson(const LintReport &report)
     }
     os << "]}";
     return os.str();
-}
-
-std::string
-sarifJson(const LintReport &report, const RuleRegistry &rules)
-{
-    std::ostringstream os;
-    os << "{\"version\":\"2.1.0\",\"$schema\":"
-          "\"https://json.schemastore.org/sarif-2.1.0.json\","
-          "\"runs\":[{\"tool\":{\"driver\":{\"name\":\"kilolint\","
-          "\"informationUri\":\"src/lint/DESIGN.md\",\"rules\":[";
-    bool first = true;
-    for (const auto &r : rules.rules()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"id\":\"";
-        jsonEscape(os, r->name());
-        os << "\",\"shortDescription\":{\"text\":\"";
-        jsonEscape(os, r->description());
-        os << "\"},\"defaultConfiguration\":{\"level\":\""
-           << severityName(r->severity()) << "\"}}";
-    }
-    os << "]}},\"results\":[";
-    first = true;
-    for (const auto &f : report.findings) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"ruleId\":\"";
-        jsonEscape(os, f.rule);
-        os << "\",\"level\":\"" << severityName(f.severity)
-           << "\",\"message\":{\"text\":\"";
-        jsonEscape(os, f.message);
-        os << "\"},\"locations\":[{\"physicalLocation\":"
-              "{\"artifactLocation\":{\"uri\":\"";
-        jsonEscape(os, normalizePath(f.path));
-        os << "\"},\"region\":{\"startLine\":"
-           << (f.line > 0 ? f.line : 1) << "}}}]}";
-    }
-    os << "]}]}";
-    return os.str();
-}
-
-// --------------------------------------------- baseline filtering
-
-std::string
-baselineKey(const Finding &f)
-{
-    return normalizePath(f.path) + "|" + f.rule + "|" + f.message;
-}
-
-namespace
-{
-
-/** Scan one JSON string value starting at the opening quote of
- *  @p json[i]; returns the unescaped value and leaves @p i one past
- *  the closing quote. False on malformed input. */
-bool
-scanJsonString(const std::string &json, size_t &i, std::string &out)
-{
-    if (i >= json.size() || json[i] != '"')
-        return false;
-    ++i;
-    out.clear();
-    while (i < json.size()) {
-        char c = json[i];
-        if (c == '"') {
-            ++i;
-            return true;
-        }
-        if (c == '\\') {
-            if (i + 1 >= json.size())
-                return false;
-            char e = json[i + 1];
-            switch (e) {
-              case '"':
-                out.push_back('"');
-                break;
-              case '\\':
-                out.push_back('\\');
-                break;
-              case '/':
-                out.push_back('/');
-                break;
-              case 'n':
-                out.push_back('\n');
-                break;
-              case 't':
-                out.push_back('\t');
-                break;
-              case 'u': {
-                  if (i + 5 >= json.size())
-                      return false;
-                  unsigned v = 0;
-                  for (int k = 0; k < 4; ++k) {
-                      char h = json[i + 2 + k];
-                      v <<= 4;
-                      if (h >= '0' && h <= '9')
-                          v |= unsigned(h - '0');
-                      else if (h >= 'a' && h <= 'f')
-                          v |= unsigned(h - 'a' + 10);
-                      else if (h >= 'A' && h <= 'F')
-                          v |= unsigned(h - 'A' + 10);
-                      else
-                          return false;
-                  }
-                  // Only control characters are emitted escaped by
-                  // reportJson; others pass through as one byte.
-                  out.push_back(char(v & 0xff));
-                  i += 4;
-                  break;
-              }
-              default:
-                return false;
-            }
-            i += 2;
-            continue;
-        }
-        out.push_back(c);
-        ++i;
-    }
-    return false;
-}
-
-} // anonymous namespace
-
-bool
-parseBaselineKeys(const std::string &json,
-                  std::multiset<std::string> &keys)
-{
-    size_t at = json.find("\"findings\"");
-    if (at == std::string::npos)
-        return false;
-    at = json.find('[', at);
-    if (at == std::string::npos)
-        return false;
-
-    // Walk the findings array object by object: pick out the
-    // "file"/"rule"/"message" members, skip everything else. This
-    // only has to parse what reportJson emits.
-    size_t i = at + 1;
-    std::string file, rule, message;
-    bool haveFile = false, haveRule = false, haveMessage = false;
-    int depth = 0;
-    while (i < json.size()) {
-        char c = json[i];
-        if (c == '{') {
-            ++depth;
-            ++i;
-            haveFile = haveRule = haveMessage = false;
-            continue;
-        }
-        if (c == '}') {
-            if (depth == 0)
-                return false;
-            --depth;
-            if (!haveFile || !haveRule || !haveMessage)
-                return false;
-            Finding f;
-            f.path = file;
-            f.rule = rule;
-            f.message = message;
-            keys.insert(baselineKey(f));
-            ++i;
-            continue;
-        }
-        if (c == ']' && depth == 0)
-            return true;
-        if (c == '"') {
-            std::string name;
-            if (!scanJsonString(json, i, name))
-                return false;
-            while (i < json.size() &&
-                   (json[i] == ' ' || json[i] == '\n' ||
-                    json[i] == '\t'))
-                ++i;
-            if (i >= json.size() || json[i] != ':')
-                return false;  // a bare value where a member starts
-            ++i;
-            while (i < json.size() &&
-                   (json[i] == ' ' || json[i] == '\n' ||
-                    json[i] == '\t'))
-                ++i;
-            if (i < json.size() && json[i] == '"') {
-                std::string value;
-                if (!scanJsonString(json, i, value))
-                    return false;
-                if (name == "file") {
-                    file = value;
-                    haveFile = true;
-                } else if (name == "rule") {
-                    rule = value;
-                    haveRule = true;
-                } else if (name == "message") {
-                    message = value;
-                    haveMessage = true;
-                }
-            }
-            // Non-string member values (line numbers) fall through
-            // to the generic skip below.
-            continue;
-        }
-        ++i;
-    }
-    return false;
-}
-
-void
-filterBaseline(LintReport &report, std::multiset<std::string> keys)
-{
-    std::vector<Finding> kept;
-    kept.reserve(report.findings.size());
-    for (auto &f : report.findings) {
-        auto it = keys.find(baselineKey(f));
-        if (it != keys.end()) {
-            keys.erase(it);  // one baseline entry absorbs one finding
-            continue;
-        }
-        kept.push_back(std::move(f));
-    }
-    report.findings = std::move(kept);
-}
-
-// ------------------------------------------------- diff filtering
-
-bool
-DiffRanges::add(const std::string &spec)
-{
-    size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= spec.size())
-        return false;
-    std::string path = spec.substr(0, colon);
-    std::string tail = spec.substr(colon + 1);
-    size_t dash = tail.find('-');
-    int start = 0, end = 0;
-    try {
-        size_t used = 0;
-        start = std::stoi(tail, &used);
-        if (dash == std::string::npos) {
-            if (used != tail.size())
-                return false;
-            end = start;
-        } else {
-            if (used != dash)
-                return false;
-            std::string second = tail.substr(dash + 1);
-            end = std::stoi(second, &used);
-            if (used != second.size())
-                return false;
-        }
-    } catch (const std::exception &) {
-        return false;
-    }
-    if (start <= 0 || end < start)
-        return false;
-    ranges[normalizePath(path)].emplace_back(start, end);
-    return true;
-}
-
-bool
-DiffRanges::contains(const std::string &path, int line) const
-{
-    auto it = ranges.find(normalizePath(path));
-    if (it == ranges.end())
-        return false;
-    for (const auto &[s, e] : it->second)
-        if (line >= s && line <= e)
-            return true;
-    return false;
-}
-
-void
-filterDiff(LintReport &report, const DiffRanges &d)
-{
-    std::vector<Finding> kept;
-    kept.reserve(report.findings.size());
-    for (auto &f : report.findings)
-        if (d.contains(f.path, f.line))
-            kept.push_back(std::move(f));
-    report.findings = std::move(kept);
 }
 
 } // namespace kilo::lint

@@ -28,9 +28,7 @@
 
 #pragma once
 
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,9 +87,8 @@ class Rule
 
     /**
      * Tier-1 hook: append findings that need the whole-project model
-     * (layering, include cycles, cross-TU stat liveness, registered
-     * enum definitions). Runs once per Analysis, after every file
-     * has been lexed; per-file Linter runs never call it. Default:
+     * (layering, include cycles, cross-TU stat liveness). Runs once
+     * per Analysis, after every file has been lexed. Default:
      * nothing.
      */
     virtual void checkModel(const ProjectModel &m,
@@ -150,9 +147,9 @@ class RuleRegistry
 
 /**
  * Register the semantic-tier rules (src/lint/flow_rules.cc):
- * layering, include-cycle, dead-stat, schema-sync,
- * enum-switch-exhaustive, phase-order. Called by
- * RuleRegistry::builtin(); exposed for registries built by hand.
+ * layering, include-cycle, dead-stat, schema-sync, phase-order.
+ * Called by RuleRegistry::builtin(); exposed for registries built
+ * by hand.
  */
 void addModelRules(RuleRegistry &reg);
 
@@ -165,38 +162,6 @@ struct LintReport
     int suppressionsUsed = 0;   ///< annotations that suppressed >= 1
 
     bool clean() const { return findings.empty(); }
-};
-
-/**
- * Runs a RuleRegistry over sources one file at a time and applies
- * suppressions. Tier-2 only: rules' checkModel() hooks never run, so
- * cross-TU checks stay silent — use Analysis for the full pipeline.
- * Kept for single-buffer fixtures and as the building block Analysis
- * shares its traversal and suppression logic with.
- */
-class Linter
-{
-  public:
-    explicit Linter(const RuleRegistry &rules)
-        : rules_(rules)
-    {}
-
-    /** Lint one in-memory buffer (used by tests and fixtures). */
-    void lintSource(const std::string &path,
-                    const std::string &content,
-                    LintReport &report) const;
-
-    /**
-     * Lint a file, or recursively every .hh/.h/.hpp/.cc/.cpp file
-     * under a directory. Traversal is sorted, so finding order is
-     * deterministic — the linter holds itself to the reproducibility
-     * bar it enforces. Throws std::runtime_error on unreadable
-     * paths.
-     */
-    void lintPath(const std::string &path, LintReport &report) const;
-
-  private:
-    const RuleRegistry &rules_;
 };
 
 /** What a full Analysis run checks beyond the per-file rules. */
@@ -226,22 +191,19 @@ class Analysis
 
     /**
      * Queue a file, or recursively every .hh/.h/.hpp/.cc/.cpp file
-     * under a directory (sorted traversal). Throws
-     * std::runtime_error on unreadable paths.
+     * under a directory. Traversal is sorted, so finding order is
+     * deterministic — the linter holds itself to the reproducibility
+     * bar it enforces. Throws std::runtime_error on unreadable paths.
      */
     void addPath(const std::string &path);
 
     /** Build the model, run every rule, apply suppressions. */
     LintReport run();
 
-    /** The model of the last run(); nullptr before. */
-    const ProjectModel *model() const { return model_.get(); }
-
   private:
     const RuleRegistry &rules_;
     AnalysisOptions opts_;
     std::vector<SourceFile> files_;
-    std::unique_ptr<ProjectModel> model_;
 };
 
 /**
@@ -250,52 +212,5 @@ class Analysis
  *  "findings":[{"file","line","rule","severity","message"}...]}
  */
 std::string reportJson(const LintReport &report);
-
-/**
- * SARIF 2.1.0 report for GitHub code scanning: one run, one result
- * per finding, the rule catalog under tool.driver.rules. Paths are
- * normalized repo-relative (normalizePath) so upload works no matter
- * what directory kilolint was invoked from.
- */
-std::string sarifJson(const LintReport &report,
-                      const RuleRegistry &rules);
-
-/**
- * Baseline identity of a finding: normalized-path|rule|message.
- * Deliberately line-free, so reflowing a file does not churn a
- * checked-in baseline.
- */
-std::string baselineKey(const Finding &f);
-
-/**
- * Parse the "findings" of a reportJson()-format document into
- * baseline keys (a multiset: two identical findings need two
- * baseline entries). Returns false on malformed input.
- */
-bool parseBaselineKeys(const std::string &json,
-                       std::multiset<std::string> &keys);
-
-/**
- * Drop findings present in @p keys (each key absorbs one finding).
- * PR CI lints the full tree but gates only on what the checked-in
- * baseline does not already carry.
- */
-void filterBaseline(LintReport &report,
-                    std::multiset<std::string> keys);
-
-/** Changed-line ranges, for --diff: only findings inside them gate. */
-struct DiffRanges
-{
-    /** normalized path -> inclusive [start, end] line ranges */
-    std::map<std::string, std::vector<std::pair<int, int>>> ranges;
-
-    /** Add "path:start[-end]"; false on malformed spec. */
-    bool add(const std::string &spec);
-
-    bool contains(const std::string &path, int line) const;
-};
-
-/** Keep only findings whose (file, line) falls in @p d. */
-void filterDiff(LintReport &report, const DiffRanges &d);
 
 } // namespace kilo::lint

@@ -1,7 +1,6 @@
 #include "src/lint/model.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <sstream>
 
@@ -14,20 +13,6 @@ namespace
 const char *const kRoots[] = {"src/", "tools/", "bench/",
                               "examples/", "tests/"};
 
-bool
-isPunctTok(const Token &t, const char *text)
-{
-    return t.kind == TokKind::Punct && t.text == text;
-}
-
-/** tokens[i], or a harmless sentinel when out of range. */
-const Token &
-at(const std::vector<Token> &t, size_t i)
-{
-    static const Token sentinel{TokKind::Punct, "", 0, 0, 0};
-    return i < t.size() ? t[i] : sentinel;
-}
-
 /** Skip a balanced bracket run starting at @p i (tokens[i] must be
  *  @p open); returns the index one past the matching close, or
  *  t.size() when unbalanced. */
@@ -37,9 +22,9 @@ skipBalanced(const std::vector<Token> &t, size_t i, const char *open,
 {
     int depth = 0;
     for (; i < t.size(); ++i) {
-        if (isPunctTok(t[i], open))
+        if (isPunct(t[i], open))
             ++depth;
-        else if (isPunctTok(t[i], close) && --depth == 0)
+        else if (isPunct(t[i], close) && --depth == 0)
             return i + 1;
     }
     return t.size();
@@ -301,7 +286,7 @@ functionMap(const SourceFile &f)
             continue;
         if (tok.kind != TokKind::Identifier ||
             controlKeyword(tok.text) ||
-            !isPunctTok(at(t, i + 1), "("))
+            !isPunct(at(t, i + 1), "("))
             continue;
 
         // Match the parameter list.
@@ -309,16 +294,16 @@ functionMap(const SourceFile &f)
         int paren = 0;
         bool balanced = false;
         for (; j < t.size(); ++j) {
-            if (isPunctTok(t[j], "(")) {
+            if (isPunct(t[j], "(")) {
                 ++paren;
-            } else if (isPunctTok(t[j], ")")) {
+            } else if (isPunct(t[j], ")")) {
                 if (--paren == 0) {
                     balanced = true;
                     break;
                 }
-            } else if (isPunctTok(t[j], "{") ||
-                       isPunctTok(t[j], "}") ||
-                       isPunctTok(t[j], ";")) {
+            } else if (isPunct(t[j], "{") ||
+                       isPunct(t[j], "}") ||
+                       isPunct(t[j], ";")) {
                 break;
             }
         }
@@ -350,8 +335,8 @@ functionMap(const SourceFile &f)
                         const Token &prev = at(t, k - 1);
                         bool init_brace =
                             prev.kind == TokKind::Identifier ||
-                            isPunctTok(prev, ">") ||
-                            isPunctTok(prev, "::");
+                            isPunct(prev, ">") ||
+                            isPunct(prev, "::");
                         if (init_brace) {
                             ++nest;
                             continue;
@@ -417,72 +402,6 @@ collectIncludes(const SourceFile &f, const std::string &norm,
     }
 }
 
-/** Extract `enum class Name { ... }` definitions from one file. */
-void
-collectEnums(const SourceFile &f, const std::string &norm,
-             std::vector<EnumDef> &out)
-{
-    const auto &t = f.tokens;
-    for (size_t i = 0; i + 2 < t.size(); ++i) {
-        if (t[i].kind != TokKind::Identifier || t[i].text != "enum")
-            continue;
-        size_t j = i + 1;
-        if (at(t, j).kind == TokKind::Identifier &&
-            (t[j].text == "class" || t[j].text == "struct"))
-            ++j;
-        if (at(t, j).kind != TokKind::Identifier)
-            continue;  // anonymous enum
-        EnumDef def;
-        def.name = t[j].text;
-        def.file = norm;
-        def.line = t[j].line;
-        ++j;
-        if (isPunctTok(at(t, j), ":")) {
-            // Underlying type: skip identifiers/:: until '{' or ';'.
-            ++j;
-            while (j < t.size() && !isPunctTok(t[j], "{") &&
-                   !isPunctTok(t[j], ";"))
-                ++j;
-        }
-        if (!isPunctTok(at(t, j), "{"))
-            continue;  // forward declaration
-        ++j;
-        // Enumerators at relative depth 0; initializers may nest
-        // parens/braces (size_t(X), Foo{1}).
-        bool expectName = true;
-        int nest = 0;
-        for (; j < t.size(); ++j) {
-            const Token &u = t[j];
-            if (isPunctTok(u, "(") || isPunctTok(u, "{")) {
-                ++nest;
-                continue;
-            }
-            if (isPunctTok(u, ")")) {
-                --nest;
-                continue;
-            }
-            if (isPunctTok(u, "}")) {
-                if (nest == 0)
-                    break;
-                --nest;
-                continue;
-            }
-            if (nest > 0)
-                continue;
-            if (isPunctTok(u, ",")) {
-                expectName = true;
-                continue;
-            }
-            if (expectName && u.kind == TokKind::Identifier) {
-                def.enumerators.push_back(u.text);
-                expectName = false;
-            }
-        }
-        if (!def.enumerators.empty())
-            out.push_back(std::move(def));
-    }
-}
-
 /** The registry registration methods the stats rules key on. */
 bool
 isRegMethod(const std::string &s)
@@ -507,9 +426,9 @@ collectStatRegs(const SourceFile &f, const std::string &norm,
             !isRegMethod(t[i].text))
             continue;
         const Token &prev = at(t, i ? i - 1 : t.size());
-        if (!(isPunctTok(prev, ".") || isPunctTok(prev, "->")))
+        if (!(isPunct(prev, ".") || isPunct(prev, "->")))
             continue;
-        if (!isPunctTok(t[i + 1], "(") ||
+        if (!isPunct(t[i + 1], "(") ||
             t[i + 2].kind != TokKind::String)
             continue;
 
@@ -526,19 +445,19 @@ collectStatRegs(const SourceFile &f, const std::string &norm,
         int depth = 1;
         bool argStart = false;
         for (size_t j = i + 2; j + 1 < close; ++j) {
-            if (isPunctTok(t[j], "(") || isPunctTok(t[j], "[")) {
+            if (isPunct(t[j], "(") || isPunct(t[j], "[")) {
                 ++depth;
                 continue;
             }
-            if (isPunctTok(t[j], ")") || isPunctTok(t[j], "]")) {
+            if (isPunct(t[j], ")") || isPunct(t[j], "]")) {
                 --depth;
                 continue;
             }
-            if (depth == 1 && isPunctTok(t[j], ",")) {
+            if (depth == 1 && isPunct(t[j], ",")) {
                 argStart = true;
                 continue;
             }
-            if (depth == 1 && argStart && isPunctTok(t[j], "&")) {
+            if (depth == 1 && argStart && isPunct(t[j], "&")) {
                 // Walk the ident chain.
                 std::string field;
                 size_t k = j + 1;
@@ -549,12 +468,12 @@ collectStatRegs(const SourceFile &f, const std::string &norm,
                         ++k;
                         continue;
                     }
-                    if (isPunctTok(u, ".") || isPunctTok(u, "->") ||
-                        isPunctTok(u, "::")) {
+                    if (isPunct(u, ".") || isPunct(u, "->") ||
+                        isPunct(u, "::")) {
                         ++k;
                         continue;
                     }
-                    if (isPunctTok(u, "[")) {
+                    if (isPunct(u, "[")) {
                         k = skipBalanced(t, k, "[", "]");
                         continue;
                     }
@@ -563,7 +482,7 @@ collectStatRegs(const SourceFile &f, const std::string &norm,
                 reg.field = field;
                 break;
             }
-            if (depth == 1 && !isPunctTok(t[j], ","))
+            if (depth == 1 && !isPunct(t[j], ","))
                 argStart = false;
         }
 
@@ -606,8 +525,8 @@ collectUpdates(const SourceFile &f,
                     ++k;
                     continue;
                 }
-                if (isPunctTok(u, ".") || isPunctTok(u, "->") ||
-                    isPunctTok(u, "::")) {
+                if (isPunct(u, ".") || isPunct(u, "->") ||
+                    isPunct(u, "::")) {
                     ++k;
                     continue;
                 }
@@ -622,12 +541,12 @@ collectUpdates(const SourceFile &f,
             continue;
 
         // x.sample(...) / x.addSample(...) — histogram feed.
-        if ((isPunctTok(at(t, i + 1), ".") ||
-             isPunctTok(at(t, i + 1), "->")) &&
+        if ((isPunct(at(t, i + 1), ".") ||
+             isPunct(at(t, i + 1), "->")) &&
             at(t, i + 2).kind == TokKind::Identifier &&
             (at(t, i + 2).text == "sample" ||
              at(t, i + 2).text == "addSample") &&
-            isPunctTok(at(t, i + 3), "(")) {
+            isPunct(at(t, i + 3), "(")) {
             out.insert(tok.text);
             continue;
         }
@@ -638,7 +557,7 @@ collectUpdates(const SourceFile &f,
         // or type punctuation), so `uint64_t cycles = 0;` at the
         // declaration does not mark the stat live.
         size_t j = i + 1;
-        while (isPunctTok(at(t, j), "["))
+        while (isPunct(at(t, j), "["))
             j = skipBalanced(t, j, "[", "]");
         const Token &op = at(t, j);
         bool mutated = false;
@@ -649,16 +568,16 @@ collectUpdates(const SourceFile &f,
                     op.text == "*" || op.text == "/" ||
                     op.text == "|" || op.text == "&" ||
                     op.text == "^" || op.text == "%") &&
-                   isPunctTok(at(t, j + 1), "=")) {
+                   isPunct(at(t, j + 1), "=")) {
             mutated = true;
-        } else if (isPunctTok(op, "=") &&
-                   !isPunctTok(at(t, j + 1), "=")) {
+        } else if (isPunct(op, "=") &&
+                   !isPunct(at(t, j + 1), "=")) {
             const Token &prev = at(t, i ? i - 1 : t.size());
             bool decl = prev.kind == TokKind::Identifier ||
-                        isPunctTok(prev, "*") ||
-                        isPunctTok(prev, "&") ||
-                        isPunctTok(prev, ">") ||
-                        isPunctTok(prev, "::");
+                        isPunct(prev, "*") ||
+                        isPunct(prev, "&") ||
+                        isPunct(prev, ">") ||
+                        isPunct(prev, "::");
             mutated = !decl;
         }
         if (mutated) {
@@ -669,15 +588,15 @@ collectUpdates(const SourceFile &f,
         // Address-taken outside a registration: passed somewhere
         // that may mutate it — conservatively live.
         const Token &prev = at(t, i ? i - 1 : t.size());
-        if (isPunctTok(prev, "&") && !inRegArgs(i)) {
+        if (isPunct(prev, "&") && !inRegArgs(i)) {
             // Only the chain head matters for `&x`; `&st.f` puts the
             // '&' before `st`, so walk the chain to its last ident.
             std::string field = tok.text;
             size_t k = i + 1;
             while (k < t.size()) {
                 const Token &u = t[k];
-                if (isPunctTok(u, ".") || isPunctTok(u, "->") ||
-                    isPunctTok(u, "::")) {
+                if (isPunct(u, ".") || isPunct(u, "->") ||
+                    isPunct(u, "::")) {
                     const Token &nx = at(t, k + 1);
                     if (nx.kind != TokKind::Identifier)
                         break;
@@ -707,7 +626,6 @@ ProjectModel::build(const std::vector<SourceFile> &files,
         std::string norm = normalizePath(f.path);
         m.scanned_.insert(norm);
         collectIncludes(f, norm, m.includes_);
-        collectEnums(f, norm, m.enums_);
 
         // Stats indices only consider src/ files: a test or bench
         // fixture registering or poking a stat must not change what

@@ -16,8 +16,6 @@
  *
  *   - the project-include graph (normalized "src/..." targets with
  *     the line of each #include);
- *   - every `enum class` definition with its enumerator list (for
- *     the enum-switch-exhaustive flow rule);
  *   - every stats::Registry registration site (name literal, method,
  *     bound field identifier) and, project-wide, the set of field
  *     identifiers that are ever mutated, sampled into, or address-
@@ -29,8 +27,7 @@
  * Like the per-file rules, everything here is heuristic token
  * pattern matching — the bar is "no false positives on this tree"
  * (src/lint/DESIGN.md), not soundness. Checks degrade gracefully:
- * an ambiguous enum name or an unparseable construct drops the
- * check, never the build.
+ * an unparseable construct drops the check, never the build.
  */
 
 #pragma once
@@ -65,15 +62,6 @@ std::string moduleOf(const std::string &norm_path);
 struct IncludeRef
 {
     std::string target;  ///< normalized include path text
-    int line = 0;
-};
-
-/** One `enum class` definition and its enumerators. */
-struct EnumDef
-{
-    std::string name;
-    std::vector<std::string> enumerators;  ///< declaration order
-    std::string file;                      ///< normalized
     int line = 0;
 };
 
@@ -182,8 +170,6 @@ class ProjectModel
         return includes_;
     }
 
-    const std::vector<EnumDef> &enums() const { return enums_; }
-
     /** Registration sites in src/ files, scan order. */
     const std::vector<StatReg> &statRegs() const { return regs_; }
 
@@ -202,7 +188,6 @@ class ProjectModel
     std::vector<const SourceFile *> files_;
     std::set<std::string> scanned_;
     std::map<std::string, std::vector<IncludeRef>> includes_;
-    std::vector<EnumDef> enums_;
     std::vector<StatReg> regs_;
     std::set<std::string> updated_;
     LayerSpec layers_;

@@ -39,20 +39,6 @@ namespace
 using sv = std::string_view;
 
 bool
-isPunct(const Token &t, sv text)
-{
-    return t.kind == TokKind::Punct && t.text == text;
-}
-
-/** tokens[i], or a harmless sentinel when out of range. */
-const Token &
-at(const std::vector<Token> &t, size_t i)
-{
-    static const Token sentinel{TokKind::Punct, "", 0};
-    return i < t.size() ? t[i] : sentinel;
-}
-
-bool
 anyOf(sv needle, std::initializer_list<sv> hay)
 {
     for (sv h : hay)
@@ -402,8 +388,8 @@ class HeaderHygieneRule : public Rule
 
 /**
  * Placeholder for --list and the severity table: the findings are
- * produced by Linter::lintSource itself, which is the only place
- * that knows whether an annotation fired.
+ * produced by Analysis::run while applying suppressions, the only
+ * place that knows whether an annotation fired.
  */
 class UnusedSuppressionRule : public Rule
 {

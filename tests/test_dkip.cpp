@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ckpt/serial.hh"
 #include "src/core/inst_arena.hh"
 #include "src/dkip/checkpoint_stack.hh"
 #include "src/dkip/dkip_core.hh"
@@ -138,6 +139,44 @@ TEST(LlibDeath, OutOfOrderPushPanics)
     Llib q("test", 4, ar.arena);
     q.push(ar.inst(5));
     EXPECT_DEATH(q.push(ar.inst(3)), "order");
+}
+
+TEST(Llib, CheckpointRoundTripKeepsOrderAndCapacity)
+{
+    Arena ar;
+    Llib q("test", 3, ar.arena);
+    auto a = ar.inst(1), b = ar.inst(2), c = ar.inst(3);
+    q.push(a);
+    q.push(b);
+    q.push(c);
+    EXPECT_TRUE(q.full());
+    ckpt::Sink s;
+    q.save(s);
+
+    Llib r("test", 3, ar.arena);
+    ckpt::Source src(s.data());
+    r.load(src);
+    EXPECT_TRUE(r.full());
+    EXPECT_EQ(r.popFront(), a);
+    EXPECT_EQ(r.popFront(), b);
+    EXPECT_EQ(r.popFront(), c);
+}
+
+TEST(LlibDeath, RestoreBeyondCapacityPanics)
+{
+    // The checkpoint is input from outside the program: a blob taken
+    // from a larger LLIB must not restore into a smaller one.
+    Arena ar;
+    Llib big("test", 4, ar.arena);
+    big.push(ar.inst(1));
+    big.push(ar.inst(2));
+    big.push(ar.inst(3));
+    ckpt::Sink s;
+    big.save(s);
+
+    Llib small("test", 2, ar.arena);
+    ckpt::Source src(s.data());
+    EXPECT_DEATH(small.load(src), "exceeds capacity");
 }
 
 TEST(Llib, HeadBlockedOnAddressProcessorLoad)

@@ -1,16 +1,16 @@
 /**
  * @file
- * Unit tests for the utility layer: circular buffer, bit vector,
- * event wheel, histogram, free list and RNG.
+ * Unit tests for the utility layer: ring deque, bit vector, event
+ * wheel, histogram, free list and RNG.
  */
 
 #include <gtest/gtest.h>
 
 #include "src/util/bit_vector.hh"
-#include "src/util/circular_buffer.hh"
 #include "src/util/event_wheel.hh"
 #include "src/util/free_list.hh"
 #include "src/util/histogram.hh"
+#include "src/util/ring_deque.hh"
 #include "src/util/rng.hh"
 
 using namespace kilo;
@@ -80,94 +80,100 @@ TEST(Rng, ZeroSeedRemapped)
     EXPECT_NE(r.next(), 0u);
 }
 
-// --------------------------------------------------- CircularBuffer
+// -------------------------------------------------------- RingDeque
 
-TEST(CircularBuffer, StartsEmpty)
+TEST(RingDeque, StartsEmptyWithPowerOfTwoCapacity)
 {
-    CircularBuffer<int> cb(4);
-    EXPECT_TRUE(cb.empty());
-    EXPECT_FALSE(cb.full());
-    EXPECT_EQ(cb.size(), 0u);
-    EXPECT_EQ(cb.capacity(), 4u);
-    EXPECT_EQ(cb.space(), 4u);
+    RingDeque<int> d(5);
+    EXPECT_TRUE(d.empty());
+    EXPECT_EQ(d.size(), 0u);
+    EXPECT_EQ(d.capacity(), 8u);
 }
 
-TEST(CircularBuffer, FifoOrder)
+TEST(RingDeque, FifoOrder)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.pushBack(3);
-    EXPECT_EQ(cb.popFront(), 1);
-    EXPECT_EQ(cb.popFront(), 2);
-    EXPECT_EQ(cb.popFront(), 3);
-}
-
-TEST(CircularBuffer, FullAfterCapacityPushes)
-{
-    CircularBuffer<int> cb(2);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    EXPECT_TRUE(cb.full());
-    EXPECT_EQ(cb.space(), 0u);
-}
-
-TEST(CircularBuffer, WrapAround)
-{
-    CircularBuffer<int> cb(3);
-    for (int round = 0; round < 10; ++round) {
-        cb.pushBack(round);
-        EXPECT_EQ(cb.popFront(), round);
+    RingDeque<int> d(4);
+    d.push_back(1);
+    d.push_back(2);
+    d.push_back(3);
+    for (int want = 1; want <= 3; ++want) {
+        EXPECT_EQ(d.front(), want);
+        d.pop_front();
     }
-    EXPECT_TRUE(cb.empty());
+    EXPECT_TRUE(d.empty());
 }
 
-TEST(CircularBuffer, PopBackRemovesYoungest)
+TEST(RingDeque, GrowsOnlyPastCapacity)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.pushBack(3);
-    EXPECT_EQ(cb.popBack(), 3);
-    EXPECT_EQ(cb.back(), 2);
-    EXPECT_EQ(cb.front(), 1);
+    // Owners bound occupancy by their configured size, which the
+    // constructor covers, so the ring is allocated exactly once.
+    RingDeque<int> d(4);
+    for (int i = 0; i < 4; ++i)
+        d.push_back(i);
+    EXPECT_EQ(d.capacity(), 4u);
+    d.push_back(4);
+    EXPECT_EQ(d.capacity(), 8u);
+    EXPECT_EQ(d[4], 4);
 }
 
-TEST(CircularBuffer, PositionalAccess)
+TEST(RingDeque, WrapAround)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(10);
-    cb.pushBack(20);
-    cb.pushBack(30);
-    cb.popFront();
-    cb.pushBack(40);
-    EXPECT_EQ(cb.at(0), 20);
-    EXPECT_EQ(cb.at(1), 30);
-    EXPECT_EQ(cb.at(2), 40);
+    RingDeque<int> d(3);
+    for (int round = 0; round < 10; ++round) {
+        d.push_back(round);
+        EXPECT_EQ(d.front(), round);
+        d.pop_front();
+    }
+    EXPECT_TRUE(d.empty());
+    EXPECT_EQ(d.capacity(), 4u);
 }
 
-TEST(CircularBuffer, ClearEmpties)
+TEST(RingDeque, PopBackRemovesYoungest)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.clear();
-    EXPECT_TRUE(cb.empty());
-    cb.pushBack(9);
-    EXPECT_EQ(cb.front(), 9);
+    RingDeque<int> d(4);
+    d.push_back(1);
+    d.push_back(2);
+    d.push_back(3);
+    d.pop_back();
+    EXPECT_EQ(d.back(), 2);
+    EXPECT_EQ(d.front(), 1);
 }
 
-TEST(CircularBufferDeath, OverflowPanics)
+TEST(RingDeque, PositionalAccess)
 {
-    CircularBuffer<int> cb(1);
-    cb.pushBack(1);
-    EXPECT_DEATH(cb.pushBack(2), "full");
+    RingDeque<int> d(4);
+    d.push_back(10);
+    d.push_back(20);
+    d.push_back(30);
+    d.pop_front();
+    d.push_back(40);
+    EXPECT_EQ(d[0], 20);
+    EXPECT_EQ(d[1], 30);
+    EXPECT_EQ(d[2], 40);
 }
 
-TEST(CircularBufferDeath, UnderflowPanics)
+TEST(RingDeque, ClearEmpties)
 {
-    CircularBuffer<int> cb(1);
-    EXPECT_DEATH(cb.popFront(), "empty");
+    RingDeque<int> d(4);
+    d.push_back(1);
+    d.push_back(2);
+    d.clear();
+    EXPECT_TRUE(d.empty());
+    d.push_back(9);
+    EXPECT_EQ(d.front(), 9);
+}
+
+TEST(RingDequeDeath, IndexOutOfRangePanics)
+{
+    RingDeque<int> d(1);
+    d.push_back(1);
+    EXPECT_DEATH(d[1], "out of range");
+}
+
+TEST(RingDequeDeath, UnderflowPanics)
+{
+    RingDeque<int> d(1);
+    EXPECT_DEATH(d.pop_front(), "empty");
 }
 
 // ------------------------------------------------------- BitVector

@@ -11,44 +11,24 @@
  *                            more than N allow() annotations, even
  *                            if every one of them fires — the CI
  *                            cap that keeps exemptions scarce
- *     --rule NAME            run only rule NAME (repeatable);
- *                            unused-suppression stays active
  *     --layers FILE          module-layer DAG spec (src/lint/layers);
  *                            activates the layering rule
  *     --schema FILE          stats schema golden
  *                            (tools/stats_schema.golden); activates
  *                            schema-sync
- *     --baseline FILE        drop findings present in FILE (a prior
- *                            --json report): PR CI gates only on
- *                            *new* findings
- *     --diff PATH:N[-M]      keep only findings on the given line
- *                            range (repeatable); for linting just a
- *                            change
- *     --sarif FILE           also write a SARIF 2.1.0 report to FILE
- *                            for GitHub code scanning ("-": stdout)
- *     --fix                  apply mechanical autofixes in place
- *                            (std::endl -> '\n', missing #pragma
- *                            once, trailing-'_' stat names), print
- *                            the edit count, and exit — idempotent
  *
  * Exit codes: 0 clean, 1 findings, 2 usage/IO error,
  * 3 suppression cap exceeded.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
+#include <exception>
 #include <fstream>
-#include <memory>
-#include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/lint/fix.hh"
 #include "src/lint/linter.hh"
 
 using namespace kilo::lint;
@@ -62,10 +42,8 @@ usage()
     std::fprintf(
         stderr,
         "usage: kilolint [--list] [--json] [--max-suppressions N]\n"
-        "                [--rule NAME]... [--layers FILE]\n"
-        "                [--schema FILE] [--baseline FILE]\n"
-        "                [--diff PATH:N[-M]]... [--sarif FILE]\n"
-        "                [--fix] <file-or-dir>...\n");
+        "                [--layers FILE] [--schema FILE]\n"
+        "                <file-or-dir>...\n");
     return 2;
 }
 
@@ -81,85 +59,6 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-/** Every lintable file under the given paths, sorted per root. */
-std::vector<std::string>
-expandPaths(const std::vector<std::string> &paths)
-{
-    namespace fs = std::filesystem;
-    auto lintable = [](const fs::path &p) {
-        std::string ext = p.extension().string();
-        return ext == ".hh" || ext == ".h" || ext == ".hpp" ||
-               ext == ".cc" || ext == ".cpp";
-    };
-    std::vector<std::string> out;
-    for (const std::string &path : paths) {
-        fs::path root(path);
-        std::error_code ec;
-        if (fs::is_directory(root, ec)) {
-            std::vector<fs::path> files;
-            for (fs::recursive_directory_iterator it(root), end;
-                 it != end; ++it) {
-                if (it->is_regular_file() && lintable(it->path()))
-                    files.push_back(it->path());
-            }
-            std::sort(files.begin(), files.end());
-            for (const auto &p : files)
-                out.push_back(p.generic_string());
-        } else if (fs::is_regular_file(root, ec)) {
-            out.push_back(root.generic_string());
-        } else {
-            throw std::runtime_error(
-                "kilolint: no such file or directory: " + path);
-        }
-    }
-    return out;
-}
-
-int
-runFix(const std::vector<std::string> &paths)
-{
-    std::vector<std::string> files;
-    try {
-        files = expandPaths(paths);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
-    FixStats total;
-    int filesChanged = 0;
-    for (const std::string &path : files) {
-        std::string content;
-        if (!readFile(path, content)) {
-            std::fprintf(stderr, "kilolint: cannot read %s\n",
-                         path.c_str());
-            return 2;
-        }
-        FixStats st;
-        std::string fixed = applyFixes(path, content, &st);
-        if (st.total() == 0)
-            continue;
-        std::ofstream outf(path,
-                           std::ios::binary | std::ios::trunc);
-        if (!outf || !(outf << fixed)) {
-            std::fprintf(stderr, "kilolint: cannot write %s\n",
-                         path.c_str());
-            return 2;
-        }
-        ++filesChanged;
-        total.endl += st.endl;
-        total.pragmaOnce += st.pragmaOnce;
-        total.statName += st.statName;
-        std::printf("fixed %s (%d edit(s))\n", path.c_str(),
-                    st.total());
-    }
-    std::fprintf(stderr,
-                 "kilolint --fix: %d file(s) changed, %d edit(s) "
-                 "(%d endl, %d pragma-once, %d stat-name)\n",
-                 filesChanged, total.total(), total.endl,
-                 total.pragmaOnce, total.statName);
-    return 0;
-}
-
 } // anonymous namespace
 
 int
@@ -167,13 +66,9 @@ main(int argc, char **argv)
 {
     bool json = false;
     bool list = false;
-    bool fix = false;
     long maxSuppressions = -1;
-    std::set<std::string> only;
     std::vector<std::string> paths;
-    std::string layersPath, schemaPath, baselinePath, sarifPath;
-    DiffRanges diff;
-    bool haveDiff = false;
+    std::string layersPath, schemaPath;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -187,8 +82,6 @@ main(int argc, char **argv)
             list = true;
         } else if (arg == "--json") {
             json = true;
-        } else if (arg == "--fix") {
-            fix = true;
         } else if (arg == "--max-suppressions") {
             if (++i >= argc)
                 return usage();
@@ -196,34 +89,12 @@ main(int argc, char **argv)
             maxSuppressions = std::strtol(argv[i], &end, 10);
             if (!end || *end || maxSuppressions < 0)
                 return usage();
-        } else if (arg == "--rule") {
-            if (++i >= argc)
-                return usage();
-            only.insert(argv[i]);
         } else if (arg == "--layers") {
             if (!value(layersPath))
                 return usage();
         } else if (arg == "--schema") {
             if (!value(schemaPath))
                 return usage();
-        } else if (arg == "--baseline") {
-            if (!value(baselinePath))
-                return usage();
-        } else if (arg == "--sarif") {
-            if (!value(sarifPath))
-                return usage();
-        } else if (arg == "--diff") {
-            std::string spec;
-            if (!value(spec))
-                return usage();
-            if (!diff.add(spec)) {
-                std::fprintf(stderr,
-                             "kilolint: bad --diff spec '%s' "
-                             "(want path:start[-end])\n",
-                             spec.c_str());
-                return 2;
-            }
-            haveDiff = true;
         } else if (arg.rfind("--", 0) == 0) {
             return usage();
         } else {
@@ -243,16 +114,6 @@ main(int argc, char **argv)
     }
     if (paths.empty())
         return usage();
-    if (fix)
-        return runFix(paths);
-
-    for (const auto &name : only) {
-        if (!all.find(name)) {
-            std::fprintf(stderr, "kilolint: unknown rule '%s'\n",
-                         name.c_str());
-            return 2;
-        }
-    }
 
     AnalysisOptions opts;
     if (!layersPath.empty()) {
@@ -276,20 +137,6 @@ main(int argc, char **argv)
         opts.schema = SchemaGolden::parse(schemaPath, text);
     }
 
-    std::multiset<std::string> baseline;
-    if (!baselinePath.empty()) {
-        std::string text;
-        if (!readFile(baselinePath, text) ||
-            !parseBaselineKeys(text, baseline)) {
-            std::fprintf(stderr,
-                         "kilolint: cannot parse baseline %s\n",
-                         baselinePath.c_str());
-            return 2;
-        }
-    }
-
-    // --rule filters findings after the run (suppressions still
-    // resolve per rule); the unused-suppression pass always runs.
     Analysis analysis(all, std::move(opts));
     LintReport report;
     try {
@@ -299,36 +146,6 @@ main(int argc, char **argv)
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
-    }
-
-    if (!only.empty()) {
-        std::vector<Finding> kept;
-        for (auto &f : report.findings) {
-            if (only.count(f.rule) ||
-                f.rule == "unused-suppression")
-                kept.push_back(std::move(f));
-        }
-        report.findings = std::move(kept);
-    }
-    if (!baselinePath.empty())
-        filterBaseline(report, std::move(baseline));
-    if (haveDiff)
-        filterDiff(report, diff);
-
-    if (!sarifPath.empty()) {
-        std::string sarif = sarifJson(report, all);
-        if (sarifPath == "-") {
-            std::printf("%s\n", sarif.c_str());
-        } else {
-            std::ofstream outf(sarifPath,
-                               std::ios::binary | std::ios::trunc);
-            if (!outf || !(outf << sarif << "\n")) {
-                std::fprintf(stderr,
-                             "kilolint: cannot write SARIF to %s\n",
-                             sarifPath.c_str());
-                return 2;
-            }
-        }
     }
 
     if (json) {
