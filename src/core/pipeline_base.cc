@@ -576,7 +576,9 @@ PipelineBase::idleSkip()
     uint64_t wake = UINT64_MAX;
     if (!wheel.empty())
         wake = wheel.nextCycle();
-    if (fetchEngine.blocked(now))
+    // A redirect expiring at exactly `now` is a deadline too: fetch
+    // is already unblocked, and the next tick must fetch.
+    if (fetchEngine.redirectReady() >= now)
         wake = std::min(wake, fetchEngine.redirectReady());
     wake = std::min(wake, nextTimedWake());
 
