@@ -1,6 +1,7 @@
 #include "src/core/pipeline_base.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/util/logging.hh"
 
@@ -120,6 +121,8 @@ PipelineBase::beginCycle()
 {
     activity = 0;
     portsUsed = 0;
+    for (size_t i = 0; i < std::size(PerCycleStalls); ++i)
+        perCycleSnap[i] = st.*PerCycleStalls[i];
     beginCycleQueues();
 }
 
@@ -560,49 +563,55 @@ PipelineBase::stageFetch()
 uint64_t
 PipelineBase::nextTimedWake() const
 {
-    if (!fetchBuffer.empty()) {
-        return arena.get(fetchBuffer.front()).fetchCycle +
-               uint64_t(prm.frontEndDepth);
-    }
-    return UINT64_MAX;
+    if (fetchBuffer.empty())
+        return UINT64_MAX;
+    return upcoming(arena.get(fetchBuffer.front()).fetchCycle +
+                    uint64_t(prm.frontEndDepth));
 }
 
 void
-PipelineBase::idleSkip()
+PipelineBase::idleSkip(uint64_t limit)
 {
     if (activity != 0 || totalReady() != 0)
         return;
 
-    uint64_t wake = UINT64_MAX;
-    if (!wheel.empty())
-        wake = wheel.nextCycle();
-    // A redirect expiring at exactly `now` is a deadline too: fetch
-    // is already unblocked, and the next tick must fetch.
-    if (fetchEngine.redirectReady() >= now)
-        wake = std::min(wake, fetchEngine.redirectReady());
+    // Every deadline is at or after `now`; a redirect expiring at
+    // exactly `now` counts too (fetch is unblocked, the next tick
+    // must fetch). Completion events are never behind `now`.
+    uint64_t wake = wheel.empty() ? UINT64_MAX : wheel.nextCycle();
+    wake = std::min(wake, upcoming(fetchEngine.redirectReady()));
     wake = std::min(wake, nextTimedWake());
+    if (dbgFlipCycle && !dbgFlipDone)
+        wake = std::min(wake, upcoming(dbgFlipCycle));
 
+    // With no deadline nothing can ever change: fetch is held or its
+    // buffer is full (otherwise the tick just ended fetched), and no
+    // event, ready instruction or timer frees a stage.
     if (wake == UINT64_MAX) {
-        // Fetch can proceed next cycle (the redirect just expired).
-        if (!fetchHold && !fetchEngine.blocked(now) &&
-            fetchBuffer.size() < prm.fetchBufferSize) {
-            return;
-        }
         KILO_PANIC("deadlock at cycle %lu: %zu in flight, "
                    "%zu in fetch buffer, lsq %zu",
                    (unsigned long)now, globalOrder.size(),
                    fetchBuffer.size(), lsq.size());
     }
-    if (wake > now) {
-        // Skipped cycles never reach stageCommit, so their commit
-        // slots are attributed here — same classifier, whole cycles
-        // at a time — keeping the slot-sum invariant exact under
-        // event-assisted simulation.
-        st.stallSlots[size_t(classifyStall())] +=
-            (wake - now) * uint64_t(prm.commitWidth);
-        st.cycles += wake - now;
-        now = wake;
+    wake = std::min(wake, limit);
+    if (wake <= now)
+        return;
+
+    // Each skipped cycle would repeat the tick just ended, so it is
+    // charged as that tick was: its commit slots to the same stall
+    // class, keeping the slot-sum invariant exact, and the per-cycle
+    // stall counters by that tick's increments. The wheel frontier
+    // moves as the skipped ticks' popDue() calls would have moved it.
+    const uint64_t k = wake - now;
+    st.stallSlots[size_t(classifyStall())] +=
+        k * uint64_t(prm.commitWidth);
+    for (size_t i = 0; i < std::size(PerCycleStalls); ++i) {
+        uint64_t &c = st.*PerCycleStalls[i];
+        c += k * (c - perCycleSnap[i]);
     }
+    st.cycles += k;
+    now = wake;
+    wheel.skipTo(now);
 }
 
 void
@@ -624,7 +633,7 @@ PipelineBase::runUntil(uint64_t target_committed, uint64_t cycle_limit)
             dbgFlipDone = true;
         }
         tick();
-        idleSkip();
+        idleSkip(cycle_limit);
         if (now - lastCommitCycle >= 4000000) {
             if (!globalOrder.empty()) {
                 const DynInst &h = arena.get(globalOrder.front());
@@ -733,7 +742,7 @@ PipelineBase::drain()
     fetchHold = true;
     while (!globalOrder.empty() || !fetchBuffer.empty()) {
         tick();
-        idleSkip();
+        idleSkip(UINT64_MAX);
     }
     fetchHold = false;
 }

@@ -12,9 +12,18 @@
  *
  * The engine is event assisted: wakeup is push-based (producers wake
  * dependents), and when a cycle performs no work and no instruction
- * is ready, simulation jumps to the next completion event, redirect
- * point or subclass deadline. This keeps 400-1000 cycle memory
- * stalls cheap to simulate.
+ * is ready, simulation jumps to the next deadline: a completion
+ * event, the fetch redirect, the fetch-buffer head's front-end
+ * delay, the aging-ROB timer, the armed audit flip, or the caller's
+ * cycle limit. Only deadlines at or after the current cycle count. A
+ * passed one belongs to a stage blocked by a full structure, and such
+ * a structure is freed only by a completion event or a ready
+ * instruction, which the skip already waits for. This keeps 400-1000
+ * cycle memory stalls cheap to simulate. The skip is exact: the
+ * skipped cycles are charged to the stall counters a stalled cycle
+ * bumps (commit slots, dispatch_blocked_*, the Analyze stalls), and
+ * the state after it is byte-identical to ticking every cycle
+ * (pinned by tests/test_idle_skip.cpp).
  *
  * Instruction lifetime: every DynInst is allocated from the per-core
  * InstArena at fetch and recycled at commit (or at LSQ release for
@@ -26,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -67,14 +77,16 @@ class PipelineBase
     /**
      * Simulate until @p target_committed total instructions have
      * committed or the current cycle reaches @p cycle_limit,
-     * whichever comes first. The tick sequence is identical to
+     * whichever comes first; an idle skip stops at @p cycle_limit
+     * rather than jump past it. The tick sequence is identical to
      * run()'s — pausing at a cycle boundary and resuming is
      * bit-equivalent to running straight through — which is what
      * makes sim::Session stepping exact.
      */
     void runUntil(uint64_t target_committed, uint64_t cycle_limit);
 
-    /** Simulate exactly @p n cycles (no idle skipping). */
+    /** Simulate exactly @p n cycles (no idle skipping; the reference
+     *  idle skipping must match). */
     void runCycles(uint64_t n);
 
     /** Statistics of the measured region. */
@@ -123,7 +135,8 @@ class PipelineBase
     /**
      * Arm the test-only determinism-audit divergence seed: at the
      * first runUntil() iteration whose cycle reaches @p cycle, XOR
-     * @p mask into the fetch global history, exactly once. Cycle 0
+     * @p mask into the fetch global history, exactly once (an armed
+     * flip is an idle-skip deadline, so that is @p cycle). Cycle 0
      * disarms. Only the fired/not-fired latch is checkpointed — the
      * arming itself is re-applied by the restoring Session, so a
      * flipped run and a clean run have identical state digests until
@@ -208,7 +221,9 @@ class PipelineBase
     virtual size_t totalReady() const = 0;
     /** Reset per-cycle state of the subclass's queues. */
     virtual void beginCycleQueues() = 0;
-    /** Earliest subclass-specific deadline (aging timers etc.). */
+    /** Earliest timed deadline at or after the current cycle: the
+     *  fetch-buffer head's front-end delay, plus the subclass's own
+     *  (aging-ROB timer). UINT64_MAX when there is none. */
     virtual uint64_t nextTimedWake() const;
     /** Serialize / restore the subclass's own structures (ROB, issue
      *  queues, LLIBs, checkpoint stack, ...), called after the base
@@ -299,6 +314,12 @@ class PipelineBase
         (void)head;
         return r;
     }
+    /** @p deadline if it has not passed yet, else UINT64_MAX. */
+    uint64_t
+    upcoming(uint64_t deadline) const
+    {
+        return deadline >= now ? deadline : UINT64_MAX;
+    }
     /** @} */
 
     CoreParams prm;
@@ -352,7 +373,20 @@ class PipelineBase
     void squashYoungerThan(uint64_t seq);
     bool tryIssueInst(InstRef ref, IssueQueue &iq, FuPool &fus);
     void issueCommon(InstRef ref, IssueQueue &iq, uint32_t latency);
-    void idleSkip();
+    void idleSkip(uint64_t limit);
+
+    /**
+     * The counters a stalled stage bumps once per cycle without
+     * counting as activity. A skipped cycle repeats the last ticked
+     * one, so idleSkip charges each the delta of that cycle, taken
+     * against the snapshot beginCycle() keeps.
+     */
+    static constexpr uint64_t CoreStats::*PerCycleStalls[] = {
+        &CoreStats::dispatchBlockedRob, &CoreStats::dispatchBlockedIq,
+        &CoreStats::dispatchBlockedLsq, &CoreStats::analyzeStallCycles,
+        &CoreStats::llibFullStalls,     &CoreStats::llrfFullStalls,
+    };
+    uint64_t perCycleSnap[std::size(PerCycleStalls)] = {};
 
     std::vector<InstRef> dueBuf;
     std::vector<InstRef> resolvedMispredicts;

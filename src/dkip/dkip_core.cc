@@ -124,11 +124,13 @@ DkipCore::refineStallReason(const core::DynInst &head,
 uint64_t
 DkipCore::nextTimedWake() const
 {
+    // Only a head still aging is a deadline: once its timer has
+    // passed, Analyze waits on a completion or a ready instruction.
     uint64_t wake = core::OooCore::nextTimedWake();
     if (!rob.empty()) {
         wake = std::min(wake,
-                        arena.cold(rob.front()).dispatchCycle +
-                            uint64_t(dprm.robTimer));
+                        upcoming(arena.cold(rob.front()).dispatchCycle +
+                                 uint64_t(dprm.robTimer)));
     }
     return wake;
 }

@@ -89,11 +89,13 @@ KiloCore::refineStallReason(const core::DynInst &head,
 uint64_t
 KiloCore::nextTimedWake() const
 {
+    // Only a head still aging is a deadline: once its timer has
+    // passed, Analyze waits on a completion or a ready instruction.
     uint64_t wake = core::OooCore::nextTimedWake();
     if (!rob.empty()) {
         wake = std::min(wake,
-                        arena.cold(rob.front()).dispatchCycle +
-                            uint64_t(kprm.robTimer));
+                        upcoming(arena.cold(rob.front()).dispatchCycle +
+                                 uint64_t(kprm.robTimer)));
     }
     return wake;
 }

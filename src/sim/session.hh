@@ -76,8 +76,8 @@ class Session
     /**
      * Advance the measured region by at most @p max_cycles cycles.
      * Returns the number of instructions committed by this call.
-     * (An idle skip over a long memory stall may overshoot the cycle
-     * bound by that stall; the next call simply runs shorter.)
+     * Idle skips stop at the cycle bound, so an unfinished run
+     * pauses on it exactly, even inside a long memory stall.
      */
     uint64_t step(uint64_t max_cycles);
 

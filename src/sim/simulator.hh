@@ -50,8 +50,8 @@ struct RunConfig
      * measured region reaches this many cycles before committing
      * measureInsts stops and reports RunResult::aborted — the per-job
      * timeout SweepEngine matrices need for cluster-scale sweeps.
-     * (Enforced between engine quanta: an idle skip over a long
-     * memory stall may overshoot the deadline by that stall.)
+     * Idle skips stop at the deadline, so an aborted region is
+     * exactly maxCycles long.
      */
     uint64_t maxCycles = 0;
 

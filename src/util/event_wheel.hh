@@ -147,6 +147,22 @@ class EventWheel
         return popped;
     }
 
+    /**
+     * Move the pop frontier to @p cycle without popping, exactly as
+     * the popDue() calls of the cycles before it would have (idle
+     * skips). Nothing may be pending before @p cycle.
+     */
+    void
+    skipTo(uint64_t cycle)
+    {
+        KILO_ASSERT(empty() || nextCycle() >= cycle,
+                    "EventWheel skip past a pending event");
+        if (cycle <= popFrontier)
+            return;
+        popFrontier = cycle;
+        migrateOverflow();
+    }
+
     /** Drop all pending events (full-pipeline squash). */
     void
     clear()

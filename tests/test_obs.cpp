@@ -191,23 +191,26 @@ TEST(Export, CollectSeparatesReusedSequenceNumbers)
 // kinds, including through idle skips.
 TEST(StallAttribution, SlotsSumToWidthTimesCycles)
 {
+    // mcf and swim are where idle skips are longest.
     for (const char *name : {"r10-64", "kilo", "dkip"}) {
-        sim::RunConfig rc;
-        rc.warmupInsts = 1000;
-        rc.measureInsts = 5000;
+        for (const char *wl : {"mcf", "swim"}) {
+            sim::RunConfig rc;
+            rc.warmupInsts = 1000;
+            rc.measureInsts = 5000;
 
-        auto machine = sim::MachineConfig::byName(name);
-        sim::Session session(machine, "mcf",
-                             mem::MemConfig::mem400(), rc);
-        session.run();
-        sim::RunResult res = session.finish();
+            auto machine = sim::MachineConfig::byName(name);
+            sim::Session session(machine, wl, mem::MemConfig::mem400(),
+                                 rc);
+            session.run();
+            sim::RunResult res = session.finish();
 
-        uint64_t width =
-            uint64_t(session.core().params().commitWidth);
-        EXPECT_EQ(stallSlotSum(res.stats) + res.stats.committed,
-                  width * res.stats.cycles)
-            << name;
-        EXPECT_GT(stallSlotSum(res.stats), 0u) << name;
+            uint64_t width =
+                uint64_t(session.core().params().commitWidth);
+            EXPECT_EQ(stallSlotSum(res.stats) + res.stats.committed,
+                      width * res.stats.cycles)
+                << name << "/" << wl;
+            EXPECT_GT(stallSlotSum(res.stats), 0u) << name << "/" << wl;
+        }
     }
 }
 

@@ -126,7 +126,8 @@ TEST(Session, DeadlineAbortTruncatesRun)
     auto res = session.finish();
     EXPECT_TRUE(res.aborted);
     EXPECT_LT(res.stats.committed, rc.measureInsts);
-    EXPECT_GE(res.stats.cycles, rc.maxCycles);
+    // Idle skips stop at the deadline, so the region ends on it.
+    EXPECT_EQ(res.stats.cycles, rc.maxCycles);
     // The truncated region still reports coherent stats.
     EXPECT_GT(res.stats.committed, 0u);
     EXPECT_NEAR(res.ipc,
