@@ -195,13 +195,12 @@ BM_WorkloadGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGeneration);
 
-namespace
-{
-
-/** Shared body of the replay benchmarks: record 256k swim ops once,
- *  then pull through the batched nextBlock path with @p mode. */
+/** Trace replay throughput (micro-ops/s): record 256k swim ops once,
+ *  then pull them zero-copy from the mapping through the batched
+ *  nextBlock path; the acceptance bar is >= synthetic generation
+ *  (BM_WorkloadGeneration items/s). */
 void
-traceReplayBody(benchmark::State &state, trace::ReadMode mode)
+BM_TraceReplay(benchmark::State &state)
 {
     const char *path = "bench_trace_replay.ktrc";
     {
@@ -215,36 +214,14 @@ traceReplayBody(benchmark::State &state, trace::ReadMode mode)
             capture.nextBlock(buf, 256);
         capture.finish();
     }
-    trace::TraceWorkload replay(path, mode);
+    trace::TraceWorkload replay(path);
     isa::MicroOp buf[64];
     for (auto _ : state)
         benchmark::DoNotOptimize(replay.nextBlock(buf, 64));
     state.SetItemsProcessed(int64_t(state.iterations()) * 64);
     std::remove(path);
 }
-
-} // anonymous namespace
-
-/** Trace replay throughput (micro-ops/s) through the batched
- *  nextBlock path in the default (mmap, zero-copy) mode; the
- *  acceptance bars are >= synthetic generation
- *  (BM_WorkloadGeneration items/s) and >= the streaming backend
- *  (BM_TraceReplayStream). */
-void
-BM_TraceReplay(benchmark::State &state)
-{
-    traceReplayBody(state, trace::ReadMode::Auto);
-}
 BENCHMARK(BM_TraceReplay);
-
-/** Same replay through the streaming (fread + copy) backend — the
- *  A/B partner that keeps the mmap path honest. */
-void
-BM_TraceReplayStream(benchmark::State &state)
-{
-    traceReplayBody(state, trace::ReadMode::Streaming);
-}
-BENCHMARK(BM_TraceReplayStream);
 
 /** Steady-state front-end pull: a TraceWindow walked sequentially,
  *  exercising the batched refill (one virtual call per RefillBatch

@@ -122,11 +122,10 @@ recordMode(const std::string &path, const std::string &preset)
 int
 replayMode(const std::string &path)
 {
-    sim::RunConfig rc = traceRunConfig();
-    rc.tracePath = path;
     auto res = sim::Simulator::run(sim::MachineConfig::dkip2048(),
-                                   "(trace)", mem::MemConfig::mem400(),
-                                   rc);
+                                   "trace:" + path,
+                                   mem::MemConfig::mem400(),
+                                   traceRunConfig());
     std::printf("%s\n", sim::runResultJson(res).c_str());
     return 0;
 }

@@ -31,7 +31,8 @@ report(const sim::RunResult &r)
                 r.machine.c_str(), r.workload.c_str(), r.ipc,
                 (unsigned long)s.cycles,
                 100.0 * (1.0 - s.mispredictRate()),
-                100.0 * r.l2MissRatio, 100.0 * s.mpFraction());
+                100.0 * r.snapshot.value("l2_miss_ratio"),
+                100.0 * s.mpFraction());
 }
 
 } // anonymous namespace

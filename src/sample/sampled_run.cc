@@ -60,8 +60,7 @@ runSampled(const sim::MachineConfig &machine,
            const mem::MemConfig &mem_config,
            const sim::RunConfig &run_config, obs::Profiler *profiler)
 {
-    wload::WorkloadPtr wl =
-        sim::openWorkload(workload_name, run_config);
+    wload::WorkloadPtr wl = sim::openWorkload(workload_name);
     return runSampled(machine, *wl, mem_config, run_config,
                       profiler);
 }

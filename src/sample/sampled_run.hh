@@ -78,7 +78,8 @@ struct SampledResult
  * (intervalInsts; 0 = measureInsts / 50), and the cluster count
  * (numClusters); samplingMode itself is ignored here — calling this
  * function IS the opt-in. The workload-name overload resolves names
- * exactly like Session (presets, "trace:<path>", tracePath).
+ * exactly like Session (presets or "trace:<path>", via
+ * sim::openWorkload).
  *
  * @p profiler, when non-null, receives one wall-time phase per
  * methodology stage — "fingerprint", "cluster", "simulate",

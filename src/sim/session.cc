@@ -19,49 +19,44 @@ constexpr const char TracePrefix[] = "trace:";
  */
 constexpr uint64_t WallCheckCycles = 1 << 16;
 
-/** Resolve a workload name to a generator or a trace replay. */
-wload::WorkloadPtr
-resolveWorkload(const std::string &name, const RunConfig &run_config)
-{
-    if (!run_config.tracePath.empty())
-        return trace::openTrace(run_config.tracePath);
-    if (name.rfind(TracePrefix, 0) == 0)
-        return trace::openTrace(name.substr(sizeof(TracePrefix) - 1));
-    return wload::makeWorkload(name);
-}
-
 } // anonymous namespace
 
 wload::WorkloadPtr
-openWorkload(const std::string &workload_name,
-             const RunConfig &run_config)
+openWorkload(const std::string &workload_name)
 {
-    return resolveWorkload(workload_name, run_config);
+    if (workload_name.rfind(TracePrefix, 0) == 0)
+        return trace::openTrace(
+            workload_name.substr(sizeof(TracePrefix) - 1));
+    return wload::makeWorkload(workload_name);
 }
 
 Session::Session(const MachineConfig &machine,
                  const std::string &workload_name,
                  const mem::MemConfig &mem_config,
                  const RunConfig &run_config)
-    : machineName(machine.name), rc(run_config),
-      owned(resolveWorkload(workload_name, run_config)), wl(owned.get()),
-      core_(Simulator::makeCore(machine, *wl, mem_config))
+    : Session(machine, openWorkload(workload_name), nullptr, mem_config,
+              run_config)
 {
-    // Functional cache warm-up: install the workload's working set so
-    // the short timed region sees the steady-state hit rates a 200M-
-    // instruction SimPoint run would.
-    for (const auto &region : wl->regions())
-        core_->memory().prewarm(region.base, region.bytes);
-    if (rc.auditFlipCycle)
-        core_->setDebugFlip(rc.auditFlipCycle, rc.auditFlipMask);
 }
 
 Session::Session(const MachineConfig &machine, wload::Workload &workload,
                  const mem::MemConfig &mem_config,
                  const RunConfig &run_config)
-    : machineName(machine.name), rc(run_config), wl(&workload),
-      core_(Simulator::makeCore(machine, workload, mem_config))
+    : Session(machine, nullptr, &workload, mem_config, run_config)
 {
+}
+
+Session::Session(const MachineConfig &machine, wload::WorkloadPtr own,
+                 wload::Workload *borrowed,
+                 const mem::MemConfig &mem_config,
+                 const RunConfig &run_config)
+    : machineName(machine.name), rc(run_config), owned(std::move(own)),
+      wl(borrowed ? borrowed : owned.get()),
+      core_(Simulator::makeCore(machine, *wl, mem_config))
+{
+    // Functional cache warm-up: install the workload's working set so
+    // the short timed region sees the steady-state hit rates a 200M-
+    // instruction SimPoint run would.
     for (const auto &region : wl->regions())
         core_->memory().prewarm(region.base, region.bytes);
     if (rc.auditFlipCycle)
@@ -348,19 +343,6 @@ Session::finish()
     res.audit = std::move(audit_);
     audit_.clear();
     res.auditRolling = auditRolling_;
-
-    // Deprecated flat fields (see the MIGRATION note in README.md).
-    const mem::MemoryHierarchy &m = core_->memory();
-    res.memAccesses = m.accesses();
-    res.l2Misses = m.l2Misses();
-    res.l2MissRatio = m.l2MissRatio();
-    res.memFills = m.memFills();
-    res.mshrMerges = m.mshrMerges();
-    res.mshrPeak = m.mshrPeakOccupancy();
-    const Histogram &set_occ = m.mshrSetOccupancy();
-    res.mshrSetP50 = uint32_t(set_occ.percentile(0.50));
-    res.mshrSetP99 = uint32_t(set_occ.percentile(0.99));
-    res.mshrSetMax = uint32_t(set_occ.maxSample());
     return res;
 }
 

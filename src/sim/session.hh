@@ -51,8 +51,8 @@ namespace kilo::sim
 class Session
 {
   public:
-    /** Resolve @p workload_name (preset, "trace:<path>" or
-     *  RunConfig::tracePath) and own the resulting workload. */
+    /** Resolve @p workload_name (a preset or "trace:<path>", see
+     *  openWorkload) and own the resulting workload. */
     Session(const MachineConfig &machine,
             const std::string &workload_name,
             const mem::MemConfig &mem_config,
@@ -177,6 +177,12 @@ class Session
     /** @} */
 
   private:
+    /** Shared body: own @p own or borrow @p borrowed, build the core,
+     *  prewarm and arm the audit flip. */
+    Session(const MachineConfig &machine, wload::WorkloadPtr own,
+            wload::Workload *borrowed, const mem::MemConfig &mem_config,
+            const RunConfig &run_config);
+
     /** Advance toward @p target_committed, capped at @p cycle_cap
      *  (both absolute), recording intervals and the deadline abort. */
     void advance(uint64_t target_committed, uint64_t cycle_cap);

@@ -46,14 +46,8 @@ Simulator::run(const MachineConfig &machine,
                const mem::MemConfig &mem_config,
                const RunConfig &run_config)
 {
-    if (run_config.samplingMode == SamplingMode::Sampled)
-        return sample::runSampled(machine, workload_name, mem_config,
-                                  run_config)
-            .result;
-    Session session(machine, workload_name, mem_config, run_config);
-    session.warmup();
-    session.run();
-    return session.finish();
+    wload::WorkloadPtr wl = openWorkload(workload_name);
+    return run(machine, *wl, mem_config, run_config);
 }
 
 RunResult

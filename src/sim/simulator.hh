@@ -123,15 +123,6 @@ struct RunConfig
     uint64_t auditFlipMask = 1;
     /** @} */
 
-    /**
-     * When non-empty, run-by-name replays this KILOTRC trace file
-     * instead of constructing a synthetic generator; the name
-     * argument is ignored in favour of the trace header's. (Workload
-     * names of the form "trace:<path>" do the same per-job, which is
-     * how SweepEngine matrices name trace-backed workloads.)
-     */
-    std::string tracePath;
-
     /** Short preset for wide parameter sweeps. */
     static RunConfig
     sweep()
@@ -148,10 +139,8 @@ struct RunConfig
  *
  * The authoritative payload is `snapshot` — the self-describing
  * stats::Registry snapshot every component contributed to; JSONL rows
- * are generated from it generically. The flat convenience fields
- * below (ipc, memAccesses, ...) are populated for source
- * compatibility but deprecated for new code; see the MIGRATION note
- * in README.md.
+ * are generated from it generically. Read any statistic by name:
+ * `result.snapshot.value("l2_misses")`.
  */
 struct RunResult
 {
@@ -178,33 +167,16 @@ struct RunResult
      *  plane is off) — the one-word determinism witness a sharded
      *  worker ships back instead of the whole stream. */
     uint64_t auditRolling = obs::AuditBasis;
-
-    /** Deprecated flat memory-side fields (use snapshot). @{ */
-    uint64_t memAccesses = 0;
-    uint64_t l2Misses = 0;
-    double l2MissRatio = 0.0;
-    uint64_t memFills = 0;    ///< off-chip line fills started
-    uint64_t mshrMerges = 0;  ///< accesses merged into in-flight fills
-    uint32_t mshrPeak = 0;    ///< peak MSHR occupancy (measured region)
-
-    /** Per-set MSHR occupancy at fill allocation (MLP clustering):
-     *  median, 99th percentile and maximum of the live ways in the
-     *  allocating set. @{ */
-    uint32_t mshrSetP50 = 0;
-    uint32_t mshrSetP99 = 0;
-    uint32_t mshrSetMax = 0;
-    /** @} */
-    /** @} */
 };
 
 /**
  * Resolve @p workload_name exactly as Session's by-name constructor
- * does: RunConfig::tracePath wins, then a "trace:<path>" name, then
- * the synthetic preset registry. The sampling layer and benches use
- * this to walk the same instruction stream a Session would run.
+ * does: a "trace:<path>" name replays that KILOTRC file (the row's
+ * workload name then comes from the trace header), any other name
+ * picks a synthetic preset. The sampling layer and benches use this
+ * to walk the same instruction stream a Session would run.
  */
-wload::WorkloadPtr openWorkload(const std::string &workload_name,
-                                const RunConfig &run_config);
+wload::WorkloadPtr openWorkload(const std::string &workload_name);
 
 /** Builds cores and executes runs. */
 class Simulator

@@ -172,27 +172,7 @@ runResultJson(const RunResult &r)
     // schema tools/stats_schema pins (see src/stats/DESIGN.md).
     stats::JsonRowBuilder row;
     row.field("machine", r.machine).field("workload", r.workload);
-    if (!r.snapshot.empty()) {
-        row.rowStats(r.snapshot);
-        return row.str();
-    }
-    // A hand-assembled RunResult (no snapshot) still renders from the
-    // deprecated flat fields so aggregation code stays usable.
-    row.field("ipc", r.ipc)
-        .field("cycles", r.stats.cycles)
-        .field("committed", r.stats.committed)
-        .field("branches", r.stats.branches)
-        .field("mispredict_rate", r.stats.mispredictRate())
-        .field("mp_fraction", r.stats.mpFraction())
-        .field("mem_accesses", r.memAccesses)
-        .field("l2_misses", r.l2Misses)
-        .field("l2_miss_ratio", r.l2MissRatio)
-        .field("mem_fills", r.memFills)
-        .field("mshr_merges", r.mshrMerges)
-        .field("mshr_peak", uint64_t(r.mshrPeak))
-        .field("mshr_set_p50", uint64_t(r.mshrSetP50))
-        .field("mshr_set_p99", uint64_t(r.mshrSetP99))
-        .field("mshr_set_max", uint64_t(r.mshrSetMax));
+    row.rowStats(r.snapshot);
     return row.str();
 }
 

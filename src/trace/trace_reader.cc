@@ -1,16 +1,11 @@
 #include "src/trace/trace_reader.hh"
 
-#include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define KILO_TRACE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace kilo::trace
 {
@@ -18,21 +13,7 @@ namespace kilo::trace
 namespace
 {
 
-/** Byte sources the header parser runs over: a stdio stream or a
- *  memory range. Both throw the same truncation diagnostics. @{ */
-struct FileSource
-{
-    std::FILE *f;
-
-    void
-    bytes(void *out, size_t size, const char *what)
-    {
-        if (size && std::fread(out, 1, size, f) != size)
-            throw TraceError(
-                std::string("trace truncated: EOF inside ") + what);
-    }
-};
-
+/** Bounds-checked cursor the header parser runs over the mapping. */
 struct MemSource
 {
     const uint8_t *p;
@@ -47,45 +28,42 @@ struct MemSource
         std::memcpy(out, p, size);
         p += size;
     }
+
+    template <typename T>
+    T
+    scalar(const char *what)
+    {
+        T v;
+        bytes(&v, sizeof(v), what);
+        return v;
+    }
 };
-/** @} */
 
-template <typename Src, typename T>
-T
-getScalar(Src &src, const char *what)
-{
-    T v;
-    src.bytes(&v, sizeof(v), what);
-    return v;
-}
-
-template <typename Src>
 void
-parseHeader(Src &src, const std::string &path, TraceMeta &meta,
+parseHeader(MemSource &src, const std::string &path, TraceMeta &meta,
             uint64_t &n_ops)
 {
     char magic[sizeof(Magic)];
     src.bytes(magic, sizeof(magic), "magic");
     if (std::memcmp(magic, Magic, sizeof(Magic)) != 0)
         throw TraceError("not a KILOTRC trace file: " + path);
-    uint32_t version = getScalar<Src, uint32_t>(src, "version");
+    uint32_t version = src.scalar<uint32_t>("version");
     if (version != FormatVersion) {
         throw TraceError("trace version mismatch: file v" +
                          std::to_string(version) + ", reader v" +
                          std::to_string(FormatVersion) + ": " + path);
     }
-    n_ops = getScalar<Src, uint64_t>(src, "op count");
-    meta.seed = getScalar<Src, uint64_t>(src, "seed");
-    meta.fp = getScalar<Src, uint8_t>(src, "fp flag") != 0;
-    uint16_t name_len = getScalar<Src, uint16_t>(src, "name length");
+    n_ops = src.scalar<uint64_t>("op count");
+    meta.seed = src.scalar<uint64_t>("seed");
+    meta.fp = src.scalar<uint8_t>("fp flag") != 0;
+    uint16_t name_len = src.scalar<uint16_t>("name length");
     meta.name.resize(name_len);
     src.bytes(meta.name.data(), name_len, "name");
-    uint32_t num_regions = getScalar<Src, uint32_t>(src,
-                                                    "region count");
+    uint32_t num_regions = src.scalar<uint32_t>("region count");
     for (uint32_t i = 0; i < num_regions; ++i) {
         wload::AddressRegion r;
-        r.base = getScalar<Src, uint64_t>(src, "region base");
-        r.bytes = getScalar<Src, uint64_t>(src, "region size");
+        r.base = src.scalar<uint64_t>("region base");
+        r.bytes = src.scalar<uint64_t>("region size");
         meta.regions.push_back(r);
     }
 }
@@ -99,10 +77,14 @@ struct BlockFrame
     uint32_t checksum;
 };
 
-/** Decode and plausibility-check one frame. */
+/** Decode and plausibility-check the frame at @p raw, with @p avail
+ *  mapped bytes from there to end-of-file: the frame and its whole
+ *  payload must fit. */
 BlockFrame
-parseFrame(const uint8_t *raw, const std::string &path)
+parseFrame(const uint8_t *raw, size_t avail, const std::string &path)
 {
+    if (avail < 12)
+        throw TraceError("trace truncated: torn block frame: " + path);
     BlockFrame f;
     std::memcpy(&f.payloadBytes, raw + 0, 4);
     std::memcpy(&f.blockOps, raw + 4, 4);
@@ -115,6 +97,9 @@ parseFrame(const uint8_t *raw, const std::string &path)
                          std::to_string(f.blockOps) + " ops): " +
                          path);
     }
+    if (avail - 12 < f.payloadBytes)
+        throw TraceError("trace truncated: EOF inside block payload: " +
+                         path);
     return f;
 }
 
@@ -129,34 +114,22 @@ checkPayload(const BlockFrame &f, const uint8_t *payload,
 
 } // anonymous namespace
 
-void
-Reader::openStreaming()
+Reader::Reader(const std::string &path, ReadMode)
+    : path_(path)
 {
-    file = std::fopen(path_.c_str(), "rb");
-    if (!file)
-        throw TraceError("cannot open trace file: " + path_);
-    try {
-        FileSource src{file};
-        parseHeader(src, path_, meta_, nOps);
-        firstBlockOffset = size_t(std::ftell(file));
-    } catch (...) {
-        std::fclose(file);
-        file = nullptr;
-        throw;
-    }
-}
-
-void
-Reader::openMapped()
-{
-#ifdef KILO_TRACE_HAVE_MMAP
-    int fd = ::open(path_.c_str(), O_RDONLY);
+    // O_NONBLOCK: opening a FIFO must not wait for a writer; the
+    // regular-file check below then rejects it.
+    int fd = ::open(path_.c_str(), O_RDONLY | O_NONBLOCK);
     if (fd < 0)
         throw TraceError("cannot open trace file: " + path_);
     struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+    if (::fstat(fd, &st) != 0) {
         ::close(fd);
         throw TraceError("cannot stat trace file: " + path_);
+    }
+    if (!S_ISREG(st.st_mode)) {
+        ::close(fd);
+        throw TraceError("cannot mmap trace file: " + path_);
     }
     size_t size = size_t(st.st_size);
     if (size == 0) {
@@ -176,50 +149,14 @@ Reader::openMapped()
         firstBlockOffset = size_t(src.p - map);
     } catch (...) {
         ::munmap(const_cast<uint8_t *>(map), mapBytes);
-        map = nullptr;
         throw;
     }
     mapOff = firstBlockOffset;
-#else
-    throw TraceError("mmap trace reading unsupported on this "
-                     "platform: " + path_);
-#endif
-}
-
-Reader::Reader(const std::string &path, ReadMode mode)
-    : path_(path)
-{
-    if (mode == ReadMode::Auto) {
-#ifdef KILO_TRACE_HAVE_MMAP
-        const char *env = std::getenv("KILO_TRACE_MMAP");
-        bool want_map = !(env && env[0] == '0');
-        if (want_map) {
-            try {
-                openMapped();
-                return;
-            } catch (const TraceError &) {
-                // A mapping-layer failure falls back to streaming;
-                // a malformed header would fail there identically.
-            }
-        }
-#endif
-        openStreaming();
-        return;
-    }
-    if (mode == ReadMode::Mmap)
-        openMapped();
-    else
-        openStreaming();
 }
 
 Reader::~Reader()
 {
-    if (file)
-        std::fclose(file);
-#ifdef KILO_TRACE_HAVE_MMAP
-    if (map)
-        ::munmap(const_cast<uint8_t *>(map), mapBytes);
-#endif
+    ::munmap(const_cast<uint8_t *>(map), mapBytes);
 }
 
 uint32_t
@@ -227,46 +164,13 @@ Reader::nextBlockView(const uint8_t *&payload, size_t &payload_bytes)
 {
     payload = nullptr;
     payload_bytes = 0;
-
-    if (map) {
-        if (mapOff == mapBytes)
-            return 0; // clean end-of-file
-        if (mapBytes - mapOff < 12)
-            throw TraceError("trace truncated: torn block frame: " +
-                             path_);
-        BlockFrame f = parseFrame(map + mapOff, path_);
-        if (mapBytes - mapOff - 12 < f.payloadBytes)
-            throw TraceError("trace truncated: EOF inside block "
-                             "payload: " + path_);
-        checkPayload(f, map + mapOff + 12, path_);
-        payload = map + mapOff + 12;
-        payload_bytes = f.payloadBytes;
-        mapOff += 12 + size_t(f.payloadBytes);
-        return f.blockOps;
-    }
-
-    // Streaming: one frame read, one payload read into the reusable
-    // buffer. Distinguish clean EOF (zero bytes) from a torn frame.
-    uint8_t frame[12];
-    size_t got = std::fread(frame, 1, sizeof(frame), file);
-    if (got == 0) {
-        if (std::ferror(file))
-            throw TraceError("trace read error: " + path_);
-        return 0;
-    }
-    if (got != sizeof(frame))
-        throw TraceError("trace truncated: torn block frame: " +
-                         path_);
-    BlockFrame f = parseFrame(frame, path_);
-    streamBuf.resize(f.payloadBytes);
-    if (std::fread(streamBuf.data(), 1, f.payloadBytes, file) !=
-        f.payloadBytes) {
-        throw TraceError("trace truncated: EOF inside block "
-                         "payload: " + path_);
-    }
-    checkPayload(f, streamBuf.data(), path_);
-    payload = streamBuf.data();
+    if (mapOff == mapBytes)
+        return 0; // clean end-of-file
+    BlockFrame f = parseFrame(map + mapOff, mapBytes - mapOff, path_);
+    checkPayload(f, map + mapOff + 12, path_);
+    payload = map + mapOff + 12;
     payload_bytes = f.payloadBytes;
+    mapOff += 12 + size_t(f.payloadBytes);
     return f.blockOps;
 }
 
@@ -296,44 +200,11 @@ uint64_t
 Reader::skipOps(uint64_t n)
 {
     uint64_t skipped = 0;
-    while (n > 0) {
-        uint8_t frame[12];
-        if (map) {
-            if (mapOff == mapBytes)
-                break; // clean end-of-file
-            if (mapBytes - mapOff < sizeof(frame))
-                throw TraceError("trace truncated: torn block "
-                                 "frame: " + path_);
-            std::memcpy(frame, map + mapOff, sizeof(frame));
-        } else {
-            size_t got = std::fread(frame, 1, sizeof(frame), file);
-            if (got == 0) {
-                if (std::ferror(file))
-                    throw TraceError("trace read error: " + path_);
-                break;
-            }
-            if (got != sizeof(frame))
-                throw TraceError("trace truncated: torn block "
-                                 "frame: " + path_);
-        }
-        BlockFrame f = parseFrame(frame, path_);
-        if (f.blockOps > n) {
-            // This block overshoots; leave it for the decode path.
-            if (!map &&
-                std::fseek(file, -long(sizeof(frame)), SEEK_CUR) != 0)
-                throw TraceError("trace seek failed: " + path_);
-            break;
-        }
-        if (map) {
-            if (mapBytes - mapOff - sizeof(frame) < f.payloadBytes)
-                throw TraceError("trace truncated: EOF inside block "
-                                 "payload: " + path_);
-            mapOff += sizeof(frame) + size_t(f.payloadBytes);
-        } else {
-            if (std::fseek(file, long(f.payloadBytes), SEEK_CUR) != 0)
-                throw TraceError("trace truncated: EOF inside block "
-                                 "payload: " + path_);
-        }
+    while (n > 0 && mapOff != mapBytes) {
+        BlockFrame f = parseFrame(map + mapOff, mapBytes - mapOff, path_);
+        if (f.blockOps > n)
+            break; // this block overshoots; leave it for the decode path
+        mapOff += 12 + size_t(f.payloadBytes);
         n -= f.blockOps;
         skipped += f.blockOps;
     }
@@ -343,12 +214,7 @@ Reader::skipOps(uint64_t n)
 void
 Reader::rewind()
 {
-    if (map) {
-        mapOff = firstBlockOffset;
-        return;
-    }
-    if (std::fseek(file, long(firstBlockOffset), SEEK_SET) != 0)
-        throw TraceError("trace rewind failed: " + path_);
+    mapOff = firstBlockOffset;
 }
 
 TraceWorkload::TraceWorkload(const std::string &path, ReadMode mode)
@@ -454,9 +320,9 @@ TraceWorkload::reset()
 }
 
 wload::WorkloadPtr
-openTrace(const std::string &path, ReadMode mode)
+openTrace(const std::string &path)
 {
-    return std::make_unique<TraceWorkload>(path, mode);
+    return std::make_unique<TraceWorkload>(path);
 }
 
 } // namespace kilo::trace

@@ -7,30 +7,19 @@
  * malformed (bad magic, newer version, truncation, mid-block bit
  * flips) raises TraceError with a specific message, never UB.
  *
- * Two backends sit behind one interface (ReadMode):
+ * The whole file is mapped read-only: nextBlockView() returns
+ * pointers straight into the mapping, so replay decodes zero-copy and
+ * N worker processes replaying one file on a host share its pages
+ * through the page cache (the fan-out mode sharded sweeps use — see
+ * src/shard/DESIGN.md). A path that cannot be mapped (a directory, a
+ * pipe) raises TraceError("cannot mmap trace file: ...").
  *
- *  - Streaming: buffered fread of one block at a time — works on
- *    pipes and non-mappable inputs, owns a single reusable block
- *    buffer.
- *  - Mmap: the whole file mapped read-only; nextBlockView() returns
- *    pointers straight into the mapping, so replay decodes zero-copy
- *    and N worker processes replaying one file on a host share its
- *    pages through the page cache (the fan-out mode cluster-scale
- *    sharded sweeps use — see src/shard/DESIGN.md).
- *
- * Auto (the default) tries mmap and silently falls back to streaming
- * when the platform or the file refuses; KILO_TRACE_MMAP=0 forces the
- * streaming backend for A/B comparison. Both backends run the same
- * validation and the same checked/unchecked decode fast paths, and
- * are bit-for-bit equivalent (pinned by tests/test_trace.cpp).
- *
- * The malformation guarantee covers the file's *contents* as mapped
- * or read. The mapped backend additionally assumes — like any mmap
- * consumer — that the file is not truncated by another process while
- * open: shrinking a live mapping yields SIGBUS on the vanished
- * pages, which no userspace validation can turn into an exception.
- * Re-recording a trace in place while workers replay it is a usage
- * error; write to a temp path and rename, or force streaming.
+ * The malformation guarantee covers the file's *contents* as mapped.
+ * Like any mmap consumer, the reader assumes the file is not truncated
+ * by another process while open: shrinking a live mapping yields
+ * SIGBUS on the vanished pages, which no userspace validation can turn
+ * into an exception. Re-recording a trace in place while workers
+ * replay it is a usage error; write to a temp path and rename.
  *
  * TraceWorkload adapts a Reader to the wload::Workload interface:
  * deterministic, endless (the stream wraps to block 0 at EOF, like
@@ -41,7 +30,6 @@
 
 #pragma once
 
-#include <cstdio>
 #include <vector>
 
 #include "src/trace/trace_format.hh"
@@ -49,23 +37,21 @@
 namespace kilo::trace
 {
 
-/** Which block-serving backend a Reader uses. */
+/** How a Reader serves blocks: mmap is the only backend, kept as a
+ *  type so callers that name it keep compiling. */
 enum class ReadMode : uint8_t
 {
-    Auto,       ///< mmap when possible, else streaming
-    Streaming,  ///< buffered fread, block-sized copies
-    Mmap,       ///< whole-file read-only mapping, zero-copy views
+    Mmap,
 };
 
 /** Block-at-a-time reader of one trace file. */
 class Reader
 {
   public:
-    /** Open @p path and parse the header; throws TraceError on any
-     *  malformation (and, under ReadMode::Mmap, when the file cannot
-     *  be mapped). */
+    /** Map @p path and parse the header; throws TraceError when the
+     *  file cannot be mapped or is malformed. */
     explicit Reader(const std::string &path,
-                    ReadMode mode = ReadMode::Auto);
+                    ReadMode mode = ReadMode::Mmap);
 
     ~Reader();
 
@@ -78,9 +64,6 @@ class Reader
     /** Total records in the file (from the header). */
     uint64_t opCount() const { return nOps; }
 
-    /** True when the mmap backend is serving blocks. */
-    bool mapped() const { return map != nullptr; }
-
     /**
      * Decode the next block into @p out (replacing its contents).
      * Returns false at a clean end-of-file; throws TraceError on a
@@ -90,24 +73,21 @@ class Reader
 
     /**
      * Validate the next block and expose its payload without copying:
-     * under mmap the pointers land straight in the file mapping, under
-     * streaming in a reader-owned buffer reused by the next call.
-     * Returns the block's record count, or 0 at a clean end-of-file
-     * (payload left null). The view is valid until the next read or
-     * rewind.
+     * the pointers land straight in the file mapping. Returns the
+     * block's record count, or 0 at a clean end-of-file (payload left
+     * null). The view lives as long as the Reader.
      */
     uint32_t nextBlockView(const uint8_t *&payload,
                            size_t &payload_bytes);
 
     /**
      * Skip forward past whole blocks totalling at most @p n records,
-     * without decoding or checksumming their payloads — under mmap
-     * this is pure pointer arithmetic, under streaming one fseek per
-     * block. Stops before a block that would overshoot @p n and at a
-     * clean end-of-file; returns the records actually skipped
-     * (<= @p n). Frame plausibility and truncation are still
-     * validated; payload corruption inside a skipped block goes
-     * undetected by design (fast-forward never consumes it).
+     * without decoding or checksumming their payloads — pure pointer
+     * arithmetic over the mapping. Stops before a block that would
+     * overshoot @p n and at a clean end-of-file; returns the records
+     * actually skipped (<= @p n). Frame plausibility and truncation
+     * are still validated; payload corruption inside a skipped block
+     * goes undetected by design (fast-forward never consumes it).
      */
     uint64_t skipOps(uint64_t n);
 
@@ -115,22 +95,12 @@ class Reader
     void rewind();
 
   private:
-    void openStreaming();
-    void openMapped();
-
     TraceMeta meta_;
     std::string path_;
 
-    /** Streaming backend. @{ */
-    std::FILE *file = nullptr;
-    std::vector<uint8_t> streamBuf;  ///< nextBlockView() storage
-    /** @} */
-
-    /** Mmap backend. @{ */
     const uint8_t *map = nullptr;
     size_t mapBytes = 0;
     size_t mapOff = 0;               ///< next unread byte
-    /** @} */
 
     size_t firstBlockOffset = 0;
     uint64_t nOps = 0;
@@ -142,7 +112,7 @@ class TraceWorkload : public wload::Workload
   public:
     /** Throws TraceError on a malformed or empty trace. */
     explicit TraceWorkload(const std::string &path,
-                           ReadMode mode = ReadMode::Auto);
+                           ReadMode mode = ReadMode::Mmap);
 
     isa::MicroOp next() override;
     size_t nextBlock(isa::MicroOp *out, size_t n) override;
@@ -161,19 +131,15 @@ class TraceWorkload : public wload::Workload
     /** Records in the underlying file (one pass, before wrapping). */
     uint64_t traceOps() const { return reader.opCount(); }
 
-    /** True when replay decodes from a zero-copy file mapping. */
-    bool mapped() const { return reader.mapped(); }
-
   private:
     void refill();
     isa::MicroOp decodeNext();
 
     Reader reader;
 
-    /** Current block: records are parsed straight out of the block
-     *  view (mapped pages or the reader's buffer) into the consumer's
-     *  buffer, so replay is one decode pass with no intermediate op
-     *  vector. @{ */
+    /** Current block: records are parsed straight out of the mapped
+     *  pages into the consumer's buffer, so replay is one decode pass
+     *  with no intermediate op vector. @{ */
     const uint8_t *cursor = nullptr;
     const uint8_t *payloadEnd = nullptr;
     uint32_t remainingOps = 0;        ///< undecoded records left
@@ -183,8 +149,7 @@ class TraceWorkload : public wload::Workload
 };
 
 /** Convenience: open @p path for replay. */
-wload::WorkloadPtr openTrace(const std::string &path,
-                             ReadMode mode = ReadMode::Auto);
+wload::WorkloadPtr openTrace(const std::string &path);
 
 } // namespace kilo::trace
 

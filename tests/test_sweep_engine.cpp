@@ -91,8 +91,10 @@ TEST(SweepEngine, ParallelBitIdenticalToSerialAllMachines)
             << s[i].machine << "/" << s[i].workload;
         EXPECT_EQ(s[i].stats.committed, p[i].stats.committed);
         EXPECT_EQ(s[i].stats.mispredicts, p[i].stats.mispredicts);
-        EXPECT_EQ(s[i].memAccesses, p[i].memAccesses);
-        EXPECT_EQ(s[i].l2Misses, p[i].l2Misses);
+        EXPECT_EQ(s[i].snapshot.value("mem_accesses"),
+                  p[i].snapshot.value("mem_accesses"));
+        EXPECT_EQ(s[i].snapshot.value("l2_misses"),
+                  p[i].snapshot.value("l2_misses"));
     }
 }
 

@@ -4,11 +4,10 @@
  * src/trace/trace_reader.hh documents): every single-bit flip and
  * every truncation of a valid trace file must either raise
  * trace::TraceError or decode to exactly the original op stream —
- * never crash, never silently decode wrong ops. Both block-serving
- * backends (Streaming and Mmap) are driven over the same mutation
- * corpus; the CI sanitizer job runs this suite under ASan/UBSan,
- * which turns any out-of-bounds decode the validation misses into a
- * hard failure.
+ * never crash, never silently decode wrong ops. The reader decodes
+ * straight out of the file mapping, so the CI sanitizer job runs this
+ * suite under ASan/UBSan, which turns any out-of-bounds decode the
+ * validation misses into a hard failure.
  *
  * Mutations are generated with a fixed LCG, so a failure reproduces
  * from the test name and iteration number alone.
@@ -67,7 +66,7 @@ spit(const std::string &path, const std::vector<char> &bytes,
     out.write(bytes.data(), long(std::min(n, bytes.size())));
 }
 
-/** What one mutated file did under one backend. */
+/** What one mutated file did. */
 enum class Outcome
 {
     Rejected,   ///< TraceError raised (construction or decode)
@@ -83,11 +82,11 @@ enum class Outcome
  * as rejection; any other exception propagates and fails the test.
  */
 Outcome
-checkMutant(const std::string &path, ReadMode mode,
+checkMutant(const std::string &path,
             const std::vector<isa::MicroOp> &original)
 {
     try {
-        TraceWorkload wl(path, mode);
+        TraceWorkload wl(path);
         std::vector<isa::MicroOp> got(original.size());
         size_t n = 0;
         while (n < got.size()) {
@@ -164,14 +163,6 @@ class TraceFuzzTest : public ::testing::Test
     std::vector<std::string> files;
 };
 
-const ReadMode kModes[] = {ReadMode::Streaming, ReadMode::Mmap};
-
-const char *
-modeName(ReadMode m)
-{
-    return m == ReadMode::Streaming ? "streaming" : "mmap";
-}
-
 } // anonymous namespace
 
 // ---------------------------------------------------------- sanity
@@ -179,11 +170,7 @@ modeName(ReadMode m)
 TEST_F(TraceFuzzTest, PristineCorpusDecodesIdentically)
 {
     Corpus c = record("mcf", 20000);
-    for (ReadMode mode : kModes) {
-        SCOPED_TRACE(modeName(mode));
-        EXPECT_EQ(checkMutant(c.path, mode, c.ops),
-                  Outcome::Identical);
-    }
+    EXPECT_EQ(checkMutant(c.path, c.ops), Outcome::Identical);
 }
 
 // --------------------------------------------------------- bit flips
@@ -200,15 +187,12 @@ TEST_F(TraceFuzzTest, SingleBitFlipsNeverDecodeWrong)
         std::vector<char> mutated = c.bytes;
         mutated[pos] = char(mutated[pos] ^ (1 << bit));
         spit(c.path, mutated, mutated.size());
-        for (ReadMode mode : kModes) {
-            SCOPED_TRACE(std::string(modeName(mode)) + " flip " +
-                         std::to_string(i) + " byte " +
-                         std::to_string(pos) + " bit " +
-                         std::to_string(bit));
-            Outcome out = checkMutant(c.path, mode, c.ops);
-            EXPECT_NE(out, Outcome::Wrong);
-            (out == Outcome::Rejected ? rejected : identical)++;
-        }
+        SCOPED_TRACE("flip " + std::to_string(i) + " byte " +
+                     std::to_string(pos) + " bit " +
+                     std::to_string(bit));
+        Outcome out = checkMutant(c.path, c.ops);
+        EXPECT_NE(out, Outcome::Wrong);
+        (out == Outcome::Rejected ? rejected : identical)++;
     }
     // The corpus is mostly checksummed payload, so the vast majority
     // of flips must be *detected* — a fuzzer whose mutants all pass
@@ -228,13 +212,9 @@ TEST_F(TraceFuzzTest, HeaderBitFlipsAreRejectedOrHarmless)
             std::vector<char> mutated = c.bytes;
             mutated[pos] = char(mutated[pos] ^ (1 << bit));
             spit(c.path, mutated, mutated.size());
-            for (ReadMode mode : kModes) {
-                SCOPED_TRACE(std::string(modeName(mode)) + " byte " +
-                             std::to_string(pos) + " bit " +
-                             std::to_string(bit));
-                EXPECT_NE(checkMutant(c.path, mode, c.ops),
-                          Outcome::Wrong);
-            }
+            SCOPED_TRACE("byte " + std::to_string(pos) + " bit " +
+                         std::to_string(bit));
+            EXPECT_NE(checkMutant(c.path, c.ops), Outcome::Wrong);
         }
     }
     spit(c.path, c.bytes, c.bytes.size());
@@ -257,14 +237,10 @@ TEST_F(TraceFuzzTest, TruncationsNeverDecodeWrong)
 
     for (size_t cut : cuts) {
         spit(c.path, c.bytes, cut);
-        for (ReadMode mode : kModes) {
-            SCOPED_TRACE(std::string(modeName(mode)) + " cut at " +
-                         std::to_string(cut));
-            // A shortened file can never serve the full op stream:
-            // anything but TraceError is a silent wrong decode.
-            EXPECT_EQ(checkMutant(c.path, mode, c.ops),
-                      Outcome::Rejected);
-        }
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        // A shortened file can never serve the full op stream:
+        // anything but TraceError is a silent wrong decode.
+        EXPECT_EQ(checkMutant(c.path, c.ops), Outcome::Rejected);
     }
     spit(c.path, c.bytes, c.bytes.size());
 }
@@ -280,12 +256,8 @@ TEST_F(TraceFuzzTest, TrailingGarbageIsRejectedOrIgnoredSafely)
         for (size_t i = 0; i < extra; ++i)
             mutated.push_back(char(lcg.next() & 0xff));
         spit(c.path, mutated, mutated.size());
-        for (ReadMode mode : kModes) {
-            SCOPED_TRACE(std::string(modeName(mode)) + " extra " +
-                         std::to_string(extra));
-            EXPECT_NE(checkMutant(c.path, mode, c.ops),
-                      Outcome::Wrong);
-        }
+        SCOPED_TRACE("extra " + std::to_string(extra));
+        EXPECT_NE(checkMutant(c.path, c.ops), Outcome::Wrong);
     }
     spit(c.path, c.bytes, c.bytes.size());
 }

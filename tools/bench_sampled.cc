@@ -17,16 +17,23 @@
  * (CI pins sampled error <= 2% on a small fixed trace); with
  * --check-min-speedup it also enforces the speedup floor the 100M-op
  * acceptance run demonstrates. --trace reuses an existing trace
- * instead of recording one (the 100M-op file takes a while to write).
+ * instead of recording one (the 100M-op file takes a while to write);
+ * without it the corpus goes to a fresh mkstemp file under $TMPDIR
+ * (default /tmp) that is removed when the run ends, so concurrent
+ * runs never share, truncate or leave behind a trace.
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/sample/sampled_run.hh"
 #include "src/sim/sweep_engine.hh"
@@ -54,7 +61,7 @@ struct Options
     uint64_t warmup = 100'000;
     uint64_t interval = 0;       // 0: measure/50
     uint32_t clusters = 12;
-    std::string tracePath;       // empty: record a fresh one
+    std::string traceFile;       // empty: record a fresh one
     std::string jsonPath;
     double checkMaxErr = -1.0;   // percent; <0: report only
     double checkMinSpeedup = -1.0;
@@ -89,11 +96,30 @@ usage(const char *argv0)
     return 2;
 }
 
+/** A recorded corpus file, deleted when it goes out of scope (empty
+ *  path: nothing to delete). */
+struct TempTrace
+{
+    std::string path;
+
+    TempTrace() = default;
+    TempTrace(const TempTrace &) = delete;
+    TempTrace &operator=(const TempTrace &) = delete;
+
+    ~TempTrace()
+    {
+        if (!path.empty())
+            std::remove(path.c_str());
+    }
+};
+
 } // anonymous namespace
 
+// A function-try-block: an exception unwinds main's locals (removing
+// the recorded corpus) before the handler reports it.
 int
 main(int argc, char **argv)
-{
+try {
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -119,7 +145,7 @@ main(int argc, char **argv)
             opt.clusters =
                 uint32_t(std::strtoul(value(), nullptr, 10));
         else if (arg == "--trace")
-            opt.tracePath = value();
+            opt.traceFile = value();
         else if (arg == "--json")
             opt.jsonPath = value();
         else if (arg == "--check-max-err")
@@ -134,16 +160,29 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // Resolved before recording: an unknown name exits (KILO_FATAL,
+    // no unwinding) before a temp file exists.
+    std::vector<sim::MachineConfig> machines;
+    for (const auto &name : opt.machines)
+        machines.push_back(sim::MachineConfig::byName(name));
+
     // The corpus: one trace file both runs replay, so exact and
     // sampled consume the identical instruction stream.
-    std::string trace = opt.tracePath;
+    TempTrace recorded;
+    std::string trace = opt.traceFile;
     if (trace.empty()) {
-        trace = "/tmp/bench_sampled_" + opt.workload + "_" +
-                std::to_string(opt.ops) + ".ktrc";
+        auto inner = wload::makeWorkload(opt.workload);
+        const char *dir = std::getenv("TMPDIR");
+        trace = std::string(dir && *dir ? dir : "/tmp") +
+                "/bench_sampled_" + opt.workload + "_XXXXXX";
+        int fd = ::mkstemp(trace.data());
+        if (fd < 0)
+            throw std::runtime_error("cannot create " + trace);
+        ::close(fd);
+        recorded.path = trace;
         std::fprintf(stderr, "recording %llu ops of %s -> %s\n",
                      (unsigned long long)opt.ops,
                      opt.workload.c_str(), trace.c_str());
-        auto inner = wload::makeWorkload(opt.workload);
         trace::CapturingWorkload capture(*inner, trace, 0);
         isa::MicroOp buf[256];
         uint64_t left = opt.ops;
@@ -162,15 +201,14 @@ main(int argc, char **argv)
     sim::RunConfig sampled_rc = exact_rc;
     sampled_rc.intervalInsts = opt.interval;
     sampled_rc.numClusters = opt.clusters;
-    sampled_rc.samplingMode = sim::SamplingMode::Sampled;
 
     const std::string wl_name = "trace:" + trace;
     const mem::MemConfig mem = mem::MemConfig::mem400();
 
     bool fail = false;
     std::string json = "[";
-    for (size_t m = 0; m < opt.machines.size(); ++m) {
-        auto machine = sim::MachineConfig::byName(opt.machines[m]);
+    for (size_t m = 0; m < machines.size(); ++m) {
+        const sim::MachineConfig &machine = machines[m];
 
         // kilolint: allow(nondeterminism) wall-clock benchmark timing
         auto t0 = std::chrono::steady_clock::now();
@@ -241,4 +279,7 @@ main(int argc, char **argv)
         out << json;
     }
     return fail ? 1 : 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
 }

@@ -13,9 +13,10 @@
  *                      [--margin N]
  *
  * Run options: --warmup N, --measure N, --interval N (audit cadence,
- * default measure/8), --trace PATH, and the test-only divergence
- * seed --flip-cycle C / --flip-mask M (bisect arms them on run B
- * only: run A is the reference, B the suspect).
+ * default measure/8), and the test-only divergence seed
+ * --flip-cycle C / --flip-mask M (bisect arms them on run B only: run
+ * A is the reference, B the suspect). A recorded trace replays with
+ * --workload trace:PATH.
  *
  * Exit status: 0 identical, 1 divergence found (and, for bisect,
  * localized), 2 usage or any error.
@@ -46,7 +47,7 @@ usage(const char *argv0)
         "--mem MEM [opts]\n"
         "       %s bisect  <a.kaud> <b.kaud> --machine M "
         "--workload W --mem MEM [opts]\n"
-        "opts: --warmup N --measure N --interval N --trace PATH\n"
+        "opts: --warmup N --measure N --interval N\n"
         "      --flip-cycle C --flip-mask M   (divergence seed; "
         "bisect applies to run B)\n"
         "      --dump PREFIX --margin N       (bisect only)\n",
@@ -94,8 +95,6 @@ parseRunOptions(int argc, char **argv, int first)
         } else if (!std::strcmp(arg, "--interval")) {
             o.spec.rc.auditIntervalInsts =
                 std::strtoull(value(), nullptr, 0);
-        } else if (!std::strcmp(arg, "--trace")) {
-            o.spec.rc.tracePath = value();
         } else if (!std::strcmp(arg, "--flip-cycle")) {
             o.flipCycle = std::strtoull(value(), nullptr, 0);
         } else if (!std::strcmp(arg, "--flip-mask")) {
