@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -72,6 +74,33 @@ rewrite(const std::string &path, const std::vector<char> &bytes,
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), long(std::min(n, bytes.size())));
+}
+
+/** FNV-1a 64 over @p size bytes, continuing from @p h. */
+uint64_t
+fnv1a64(const void *data, size_t size,
+        uint64_t h = 0xcbf29ce484222325ull)
+{
+    const auto *b = static_cast<const uint8_t *>(data);
+    for (size_t i = 0; i < size; ++i)
+        h = (h ^ b[i]) * 0x100000001b3ull;
+    return h;
+}
+
+/** FNV-1a 64 of one op, field by field (no padding bytes). */
+uint64_t
+fnvOp(const isa::MicroOp &op, uint64_t h)
+{
+    const uint8_t cls = uint8_t(op.cls), taken = op.taken;
+    h = fnv1a64(&op.pc, sizeof(op.pc), h);
+    h = fnv1a64(&cls, 1, h);
+    h = fnv1a64(&op.src1, sizeof(op.src1), h);
+    h = fnv1a64(&op.src2, sizeof(op.src2), h);
+    h = fnv1a64(&op.dst, sizeof(op.dst), h);
+    h = fnv1a64(&op.effAddr, sizeof(op.effAddr), h);
+    h = fnv1a64(&op.memSize, 1, h);
+    h = fnv1a64(&taken, 1, h);
+    return fnv1a64(&op.target, sizeof(op.target), h);
 }
 
 } // anonymous namespace
@@ -212,6 +241,128 @@ TEST_F(TraceTest, EndlessWrapAndReset)
     wl.reset();
     for (int i = 0; i < 100; ++i)
         ASSERT_EQ(wl.next(), first[size_t(i)]);
+}
+
+// ------------------------------------------- capture output pinned
+
+TEST_F(TraceTest, CaptureOutputPinned)
+{
+    // The recorded bytes and the op stream handed through by
+    // CapturingWorkload::nextBlock are pinned to FNV-1a 64 digests, so
+    // any change to the generator or the encoder that alters a single
+    // byte of a recording fails here, not in a downstream golden.
+    struct Pin
+    {
+        const char *preset;
+        uint64_t fileFnv;
+        uint64_t streamFnv;
+    };
+    const Pin pins[] = {
+        {"mcf", 0xb3932a02c1b80c63ull, 0x81b5eec3bec9dfadull},
+        {"swim", 0x8addd5781b8b7154ull, 0x63524d85b67483d0ull},
+        {"gcc", 0xabddc18deb92b841ull, 0xb7c8466a8ab5d4aaull},
+    };
+    constexpr size_t NumOps = 200000;
+    for (const Pin &pin : pins) {
+        auto path = tracePath(std::string("pin_") + pin.preset);
+        auto inner = wload::makeWorkload(pin.preset);
+        uint64_t stream = 0xcbf29ce484222325ull;
+        {
+            CapturingWorkload capture(*inner, path, 7);
+            isa::MicroOp buf[256];
+            for (size_t left = NumOps; left;) {
+                size_t got =
+                    capture.nextBlock(buf, std::min<size_t>(left, 256));
+                for (size_t i = 0; i < got; ++i)
+                    stream = fnvOp(buf[i], stream);
+                left -= got;
+            }
+            capture.finish();
+        }
+        auto bytes = slurp(path);
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.fileFnv)
+            << pin.preset << " trace file bytes changed";
+        EXPECT_EQ(stream, pin.streamFnv)
+            << pin.preset << " nextBlock op stream changed";
+    }
+}
+
+TEST_F(TraceTest, MaximalRecordsRoundTripAcrossBlocks)
+{
+    // Worst case for the writer's fixed block buffer: every record
+    // has the longest encoding its class allows. pc and effAddr swing
+    // between two values ~2^63 apart (both also ~2^62 from the
+    // block-start predictor value 0) and each branch target sits 2^63
+    // past its pc, so every varint is 10 bytes. No class carries both
+    // an address and a target, so a memory op is 4 + 10 + 10 + 1 = 25
+    // bytes and a branch 4 + 10 + 10 = 24 — the longest real records
+    // under the MaxRecordBytes = 35 bound. Blocks close mid-pattern,
+    // so the last record of each block starts within one record of
+    // BlockTargetBytes.
+    constexpr uint64_t Lo = 0x4000000000000001ull;
+    constexpr uint64_t Hi = 0xbfffffffffffffffull;
+    constexpr size_t NumOps = 3 * BlockTargetBytes / 24;
+    std::vector<isa::MicroOp> ops;
+    size_t payload_bytes = 0, mem_ops = 0;
+    for (size_t i = 0; i < NumOps; ++i) {
+        const uint64_t pc = (i & 1) ? Hi : Lo;
+        const uint64_t addr = (mem_ops & 1) ? Hi : Lo;
+        isa::MicroOp op;
+        switch (i % 3) {
+          case 0:
+            op = isa::makeLoad(int16_t(isa::NumRegs - 1), isa::NoReg,
+                               addr, pc);
+            op.memSize = 0xff;
+            break;
+          case 1:
+            op = isa::makeStore(isa::NoReg, int16_t(isa::NumRegs - 1),
+                                addr, pc);
+            break;
+          default:
+            op = isa::makeBranch(isa::NoReg, true, pc + (1ull << 63),
+                                 pc);
+            break;
+        }
+        mem_ops += op.isMem() ? 1 : 0;
+        payload_bytes += op.isMem() ? 25 : 24;
+        ops.push_back(op);
+    }
+
+    auto empty = tracePath("max_empty");
+    {
+        Writer w(empty, TraceMeta{});
+        w.finish();
+    }
+    auto path = tracePath("max");
+    size_t blocks = 0;
+    {
+        Writer w(path, TraceMeta{});
+        size_t in_block = 0;
+        for (const auto &op : ops) {
+            w.append(op);
+            in_block += op.isMem() ? 25 : 24;
+            if (in_block >= BlockTargetBytes) {
+                ++blocks;
+                in_block = 0;
+            }
+        }
+        blocks += in_block ? 1 : 0;
+        w.finish();
+    }
+    ASSERT_GE(blocks, 3u);
+    // Header + 12-byte frame per block + payload: every record really
+    // took its maximal encoding.
+    EXPECT_EQ(slurp(path).size(),
+              slurp(empty).size() + 12 * blocks + payload_bytes);
+
+    Reader r(path);
+    EXPECT_EQ(r.opCount(), NumOps);
+    std::vector<isa::MicroOp> block, decoded;
+    while (r.readBlock(block))
+        decoded.insert(decoded.end(), block.begin(), block.end());
+    ASSERT_EQ(decoded.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i)
+        ASSERT_EQ(decoded[i], ops[i]) << "record " << i;
 }
 
 // ------------------------------------ end-to-end simulator identity
