@@ -83,94 +83,4 @@ MicroOpHot::toString() const
     return buf;
 }
 
-MicroOp
-makeAlu(int16_t dst, int16_t src1, int16_t src2, uint64_t pc)
-{
-    MicroOp op;
-    op.pc = pc;
-    op.cls = OpClass::IntAlu;
-    op.dst = dst;
-    op.src1 = src1;
-    op.src2 = src2;
-    return op;
-}
-
-MicroOp
-makeMul(int16_t dst, int16_t src1, int16_t src2, uint64_t pc)
-{
-    MicroOp op = makeAlu(dst, src1, src2, pc);
-    op.cls = OpClass::IntMul;
-    return op;
-}
-
-MicroOp
-makeFpAdd(int16_t dst, int16_t src1, int16_t src2, uint64_t pc)
-{
-    MicroOp op = makeAlu(dst, src1, src2, pc);
-    op.cls = OpClass::FpAdd;
-    return op;
-}
-
-MicroOp
-makeFpMul(int16_t dst, int16_t src1, int16_t src2, uint64_t pc)
-{
-    MicroOp op = makeAlu(dst, src1, src2, pc);
-    op.cls = OpClass::FpMul;
-    return op;
-}
-
-MicroOp
-makeFpDiv(int16_t dst, int16_t src1, int16_t src2, uint64_t pc)
-{
-    MicroOp op = makeAlu(dst, src1, src2, pc);
-    op.cls = OpClass::FpDiv;
-    return op;
-}
-
-MicroOp
-makeLoad(int16_t dst, int16_t addr_reg, uint64_t eff_addr, uint64_t pc)
-{
-    MicroOp op;
-    op.pc = pc;
-    op.cls = OpClass::Load;
-    op.dst = dst;
-    op.src1 = addr_reg;
-    op.effAddr = eff_addr;
-    return op;
-}
-
-MicroOp
-makeStore(int16_t addr_reg, int16_t data_reg, uint64_t eff_addr,
-          uint64_t pc)
-{
-    MicroOp op;
-    op.pc = pc;
-    op.cls = OpClass::Store;
-    op.src1 = addr_reg;
-    op.src2 = data_reg;
-    op.effAddr = eff_addr;
-    return op;
-}
-
-MicroOp
-makeBranch(int16_t src1, bool taken, uint64_t target, uint64_t pc)
-{
-    MicroOp op;
-    op.pc = pc;
-    op.cls = OpClass::Branch;
-    op.src1 = src1;
-    op.taken = taken;
-    op.target = target;
-    return op;
-}
-
-MicroOp
-makeNop(uint64_t pc)
-{
-    MicroOp op;
-    op.pc = pc;
-    op.cls = OpClass::Nop;
-    return op;
-}
-
 } // namespace kilo::isa

@@ -196,22 +196,99 @@ static_assert(sizeof(MicroOpHot) == 16,
               "MicroOpHot must stay a 16-byte record; the DynInst "
               "one-cache-line layout depends on it");
 
-/** Convenience builders used by generators and unit tests. @{ */
-MicroOp makeAlu(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0);
-MicroOp makeMul(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0);
-MicroOp makeFpAdd(int16_t dst, int16_t src1, int16_t src2,
-                  uint64_t pc = 0);
-MicroOp makeFpMul(int16_t dst, int16_t src1, int16_t src2,
-                  uint64_t pc = 0);
-MicroOp makeFpDiv(int16_t dst, int16_t src1, int16_t src2,
-                  uint64_t pc = 0);
-MicroOp makeLoad(int16_t dst, int16_t addr_reg, uint64_t eff_addr,
-                 uint64_t pc = 0);
-MicroOp makeStore(int16_t addr_reg, int16_t data_reg, uint64_t eff_addr,
-                  uint64_t pc = 0);
-MicroOp makeBranch(int16_t src1, bool taken, uint64_t target,
-                   uint64_t pc = 0);
-MicroOp makeNop(uint64_t pc = 0);
+/** Convenience builders used by generators and unit tests. Inline:
+ *  the synthetic generator builds every op it emits through them.
+ *  @{ */
+inline MicroOp
+makeAlu(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0)
+{
+    MicroOp op;
+    op.pc = pc;
+    op.cls = OpClass::IntAlu;
+    op.dst = dst;
+    op.src1 = src1;
+    op.src2 = src2;
+    return op;
+}
+
+inline MicroOp
+makeMul(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0)
+{
+    MicroOp op = makeAlu(dst, src1, src2, pc);
+    op.cls = OpClass::IntMul;
+    return op;
+}
+
+inline MicroOp
+makeFpAdd(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0)
+{
+    MicroOp op = makeAlu(dst, src1, src2, pc);
+    op.cls = OpClass::FpAdd;
+    return op;
+}
+
+inline MicroOp
+makeFpMul(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0)
+{
+    MicroOp op = makeAlu(dst, src1, src2, pc);
+    op.cls = OpClass::FpMul;
+    return op;
+}
+
+inline MicroOp
+makeFpDiv(int16_t dst, int16_t src1, int16_t src2, uint64_t pc = 0)
+{
+    MicroOp op = makeAlu(dst, src1, src2, pc);
+    op.cls = OpClass::FpDiv;
+    return op;
+}
+
+inline MicroOp
+makeLoad(int16_t dst, int16_t addr_reg, uint64_t eff_addr,
+         uint64_t pc = 0)
+{
+    MicroOp op;
+    op.pc = pc;
+    op.cls = OpClass::Load;
+    op.dst = dst;
+    op.src1 = addr_reg;
+    op.effAddr = eff_addr;
+    return op;
+}
+
+inline MicroOp
+makeStore(int16_t addr_reg, int16_t data_reg, uint64_t eff_addr,
+          uint64_t pc = 0)
+{
+    MicroOp op;
+    op.pc = pc;
+    op.cls = OpClass::Store;
+    op.src1 = addr_reg;
+    op.src2 = data_reg;
+    op.effAddr = eff_addr;
+    return op;
+}
+
+inline MicroOp
+makeBranch(int16_t src1, bool taken, uint64_t target, uint64_t pc = 0)
+{
+    MicroOp op;
+    op.pc = pc;
+    op.cls = OpClass::Branch;
+    op.src1 = src1;
+    op.taken = taken;
+    op.target = target;
+    return op;
+}
+
+inline MicroOp
+makeNop(uint64_t pc = 0)
+{
+    MicroOp op;
+    op.pc = pc;
+    op.cls = OpClass::Nop;
+    return op;
+}
 /** @} */
 
 } // namespace kilo::isa

@@ -18,6 +18,8 @@ MshrFile::MshrFile(uint32_t capacity, uint64_t sweep_period)
     uint32_t sets = std::bit_ceil((capacity + numWays - 1) / numWays);
     setMask = sets - 1;
     entries.resize(size_t(sets) * numWays);
+    liveWays.reserve(entries.size());
+    livePos.resize(entries.size());
 }
 
 MshrFile::Entry *
@@ -31,8 +33,11 @@ MshrFile::sweepIfDue(uint64_t now)
 {
     if (now < nextSweep)
         return;
-    for (Entry &e : entries) {
-        if (e.fillDone != 0 && e.fillDone <= now)
+    // Backwards, so the swap-remove in freeWay only ever moves an
+    // already-visited way into the current slot.
+    for (size_t i = liveWays.size(); i-- > 0;) {
+        Entry &e = entries[liveWays[i]];
+        if (e.fillDone <= now)
             freeWay(e);
     }
     nextSweep = now + sweepPeriod;
@@ -114,9 +119,9 @@ MshrFile::allocate(uint64_t line, uint64_t fill_done, uint64_t now)
     }
     victim->line = line;
     victim->fillDone = fill_done;
-    ++liveCount;
-    if (liveCount > peak)
-        peak = liveCount;
+    markLive(uint32_t(victim - entries.data()));
+    if (occupancy() > peak)
+        peak = occupancy();
 
     // Sample this set's live-way count after insertion (1..numWays)
     // for the per-set occupancy distribution.

@@ -12,9 +12,12 @@
  *  - lookup is O(ways) over a power-of-two set — no hashing, no
  *    growth, no heap traffic after construction;
  *  - expiry is lazy: a probed set reclaims its own expired ways, and
- *    a compact full scan keyed off `now` (one sweep per fill
- *    latency) reclaims entries in sets that are never revisited, so
- *    steady-state occupancy is exact and bounded;
+ *    a compact scan keyed off `now` (one sweep per fill latency)
+ *    reclaims entries in sets that are never revisited, so
+ *    steady-state occupancy is exact and bounded. The scan walks a
+ *    dense index of the live ways only, not the whole array: a
+ *    4096-entry file holding a few dozen fills costs a few dozen
+ *    visits per sweep;
  *  - when a set is full of live fills the soonest-completing way is
  *    displaced (it loses only its merge window, never its timing) and
  *    the displacement is counted, so a capacity too small for a
@@ -73,7 +76,7 @@ class MshrFile
     uint32_t capacity() const { return uint32_t(entries.size()); }
 
     /** Live in-flight fills as of the last operation. */
-    uint32_t occupancy() const { return liveCount; }
+    uint32_t occupancy() const { return uint32_t(liveWays.size()); }
 
     /** High-water mark of occupancy since the last resetPeak(). */
     uint32_t peakOccupancy() const { return peak; }
@@ -99,7 +102,7 @@ class MshrFile
     void
     resetPeak()
     {
-        peak = liveCount;
+        peak = occupancy();
         nDisplaced = 0;
         setOccHist.reset();
     }
@@ -112,7 +115,7 @@ class MshrFile
     {
         s.podVector(entries);
         setOccHist.save(s);
-        s.template scalar<uint32_t>(liveCount);
+        s.template scalar<uint32_t>(occupancy());
         s.template scalar<uint32_t>(peak);
         s.template scalar<uint64_t>(nDisplaced);
         s.template scalar<uint64_t>(nextSweep);
@@ -127,7 +130,13 @@ class MshrFile
         KILO_ASSERT(entries.size() == sz,
                     "MSHR checkpoint capacity mismatch");
         setOccHist.load(s);
-        liveCount = s.template scalar<uint32_t>();
+        liveWays.clear();
+        for (uint32_t i = 0; i < entries.size(); ++i) {
+            if (entries[i].fillDone != 0)
+                markLive(i);
+        }
+        KILO_ASSERT(s.template scalar<uint32_t>() == occupancy(),
+                    "MSHR checkpoint live count mismatch");
         peak = s.template scalar<uint32_t>();
         nDisplaced = s.template scalar<uint64_t>();
         nextSweep = s.template scalar<uint64_t>();
@@ -145,18 +154,34 @@ class MshrFile
     Entry *setOf(uint64_t line);
     void sweepIfDue(uint64_t now);
 
+    /** Add the way at entries[@p idx] to the live index. */
+    void
+    markLive(uint32_t idx)
+    {
+        livePos[idx] = uint32_t(liveWays.size());
+        liveWays.push_back(idx);
+    }
+
+    /** Free a live way: clear it and swap-remove it from the index. */
     void
     freeWay(Entry &e)
     {
         e.fillDone = 0;
-        --liveCount;
+        uint32_t pos = livePos[size_t(&e - entries.data())];
+        uint32_t last = liveWays.back();
+        liveWays[pos] = last;
+        livePos[last] = pos;
+        liveWays.pop_back();
     }
 
     std::vector<Entry> entries;  ///< sets x numWays, sized once
+    /** Indices of the live ways (fillDone != 0), in no order; sized
+     *  once, rebuilt by load(). Not serialized. */
+    std::vector<uint32_t> liveWays;
+    std::vector<uint32_t> livePos;  ///< entry -> slot in liveWays
     Histogram setOccHist{1, Ways + 1};  ///< per-set live-way samples
     uint32_t numWays;            ///< min(capacity, Ways)
     uint32_t setMask;            ///< numSets - 1 (power of two)
-    uint32_t liveCount = 0;
     uint32_t peak = 0;
     uint64_t nDisplaced = 0;
     uint64_t sweepPeriod;

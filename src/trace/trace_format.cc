@@ -6,51 +6,6 @@
 namespace kilo::trace
 {
 
-namespace
-{
-
-void
-putVarint(std::vector<uint8_t> &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(uint8_t(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(uint8_t(v));
-}
-
-uint8_t
-encodeReg(int16_t reg)
-{
-    return uint8_t(reg + 1);
-}
-
-} // anonymous namespace
-
-void
-encodeOp(std::vector<uint8_t> &out, const isa::MicroOp &op,
-         CodecState &state)
-{
-    using detail::ClassMask;
-    using detail::TakenBit;
-    using detail::zigzag;
-
-    out.push_back(uint8_t(uint8_t(op.cls) & ClassMask) |
-                  (op.taken ? TakenBit : 0));
-    out.push_back(encodeReg(op.src1));
-    out.push_back(encodeReg(op.src2));
-    out.push_back(encodeReg(op.dst));
-    putVarint(out, zigzag(int64_t(op.pc - state.prevPc)));
-    state.prevPc = op.pc;
-    if (op.isMem()) {
-        putVarint(out, zigzag(int64_t(op.effAddr - state.prevEffAddr)));
-        state.prevEffAddr = op.effAddr;
-        out.push_back(op.memSize);
-    }
-    if (op.isBranch())
-        putVarint(out, zigzag(int64_t(op.target - op.pc)));
-}
-
 uint32_t
 blockChecksum(const uint8_t *data, size_t size)
 {

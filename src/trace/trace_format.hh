@@ -45,7 +45,11 @@ constexpr long OpCountOffset = 12;
 
 /** Upper bound of one encoded record: 4 fixed bytes + memSize + three
  *  varints of at most 10 bytes each. The decoder takes an unchecked
- *  fast path while at least this many payload bytes remain. */
+ *  fast path while at least this many payload bytes remain, and the
+ *  writer's block buffer keeps this much headroom past
+ *  BlockTargetBytes, so the encoder never checks for room. (No op
+ *  class has both an address and a target, so real records stop at
+ *  25 bytes; the bound is the plain sum.) */
 constexpr size_t MaxRecordBytes = 35;
 
 /** Malformed, truncated or mismatched trace input. */
@@ -77,10 +81,6 @@ struct CodecState
     uint64_t prevPc = 0;
     uint64_t prevEffAddr = 0;
 };
-
-/** Append the encoding of @p op to @p out, advancing @p state. */
-void encodeOp(std::vector<uint8_t> &out, const isa::MicroOp &op,
-              CodecState &state);
 
 /** 32-bit word-mixed checksum over a block payload. */
 uint32_t blockChecksum(const uint8_t *data, size_t size);
@@ -146,6 +146,18 @@ getVarint(const uint8_t *&cursor, const uint8_t *end)
     }
 }
 
+/** Varint encode; writes 1..10 bytes and returns the new cursor. */
+inline uint8_t *
+putVarint(uint8_t *out, uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = uint8_t(v) | 0x80;
+        v >>= 7;
+    }
+    *out++ = uint8_t(v);
+    return out;
+}
+
 inline int16_t
 decodeReg(uint8_t byte)
 {
@@ -198,6 +210,35 @@ decodeOpImpl(const uint8_t *&cursor, const uint8_t *end,
 }
 
 } // namespace detail
+
+/**
+ * Encode @p op at @p out, advancing @p state, and return one past the
+ * last byte written. The caller guarantees MaxRecordBytes of room:
+ * capture encodes every recorded op, so there is no per-byte bounds
+ * or capacity check.
+ */
+inline uint8_t *
+encodeOp(uint8_t *out, const isa::MicroOp &op, CodecState &state)
+{
+    using detail::putVarint;
+    using detail::zigzag;
+    out[0] = uint8_t(uint8_t(op.cls) & detail::ClassMask) |
+        (op.taken ? detail::TakenBit : 0);
+    out[1] = uint8_t(op.src1 + 1); // +1 bias: NoReg is byte 0
+    out[2] = uint8_t(op.src2 + 1);
+    out[3] = uint8_t(op.dst + 1);
+    out = putVarint(out + 4, zigzag(int64_t(op.pc - state.prevPc)));
+    state.prevPc = op.pc;
+    if (op.isMem()) {
+        out = putVarint(out,
+                        zigzag(int64_t(op.effAddr - state.prevEffAddr)));
+        state.prevEffAddr = op.effAddr;
+        *out++ = op.memSize;
+    }
+    if (op.isBranch())
+        out = putVarint(out, zigzag(int64_t(op.target - op.pc)));
+    return out;
+}
 
 /**
  * Decode one record from [@p cursor, @p end), advancing @p cursor and

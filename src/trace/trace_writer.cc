@@ -30,12 +30,12 @@ putScalar(std::FILE *f, T v, const std::string &path)
 } // anonymous namespace
 
 Writer::Writer(const std::string &path, const TraceMeta &meta)
-    : meta_(meta), path_(path)
+    : meta_(meta), path_(path), block(BlockTargetBytes + MaxRecordBytes),
+      cursor(block.data())
 {
     file = std::fopen(path.c_str(), "wb");
     if (!file)
         throw TraceError("cannot create trace file: " + path);
-    payload.reserve(BlockTargetBytes + 32);
 
     try {
         // Header. The op count at OpCountOffset is a placeholder
@@ -72,26 +72,16 @@ Writer::~Writer()
 }
 
 void
-Writer::append(const isa::MicroOp &op)
-{
-    encodeOp(payload, op, codec);
-    ++blockOps;
-    ++nOps;
-    if (payload.size() >= BlockTargetBytes)
-        flushBlock();
-}
-
-void
 Writer::flushBlock()
 {
     if (blockOps == 0)
         return;
-    putScalar(file, uint32_t(payload.size()), path_);
+    const size_t size = size_t(cursor - block.data());
+    putScalar(file, uint32_t(size), path_);
     putScalar(file, blockOps, path_);
-    putScalar(file, blockChecksum(payload.data(), payload.size()),
-              path_);
-    putBytes(file, payload.data(), payload.size(), path_);
-    payload.clear();
+    putScalar(file, blockChecksum(block.data(), size), path_);
+    putBytes(file, block.data(), size, path_);
+    cursor = block.data();
     blockOps = 0;
     codec = CodecState{}; // blocks decode independently
 }

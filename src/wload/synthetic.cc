@@ -11,7 +11,10 @@ namespace kilo::wload
 namespace
 {
 
-/** Rotating register pools; see DESIGN.md section 5. */
+/** Rotating register pools: loads rotate through LoadRegBase, their
+ *  dependent compute through pool A and the independent accumulator
+ *  chains through pool B (FP presets use the same offsets from
+ *  isa::FirstFpReg). */
 constexpr int16_t ChaseReg = 1;
 constexpr int16_t InductionReg = 4;
 constexpr int16_t LoadRegBase = 8;     ///< r8..r15 (or f8..f15)
@@ -49,6 +52,7 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile)
 
     newestLoadReg = int16_t((prof.fp ? isa::FirstFpReg : 0) +
                             LoadRegBase);
+    pending.reserve(size_t(slotsPerIter));
 }
 
 void
@@ -134,6 +138,8 @@ SyntheticWorkload::emitDepCompute(int16_t loaded_reg, int &slot)
 void
 SyntheticWorkload::emitIteration()
 {
+    pending.clear();
+    pendingHead = 0;
     int slot = 0;
     const int16_t fp_base = prof.fp ? isa::FirstFpReg : 0;
     const int16_t indep_base = int16_t(fp_base + IndepRegBase);
@@ -325,28 +331,23 @@ SyntheticWorkload::emitIteration()
 isa::MicroOp
 SyntheticWorkload::next()
 {
-    if (pending.empty())
+    if (pendingHead == pending.size())
         emitIteration();
-    isa::MicroOp op = pending.front();
-    pending.pop_front();
-    return op;
+    return pending[pendingHead++];
 }
 
 size_t
 SyntheticWorkload::nextBlock(isa::MicroOp *out, size_t n)
 {
     // Same stream as n calls to next(), amortising the per-call
-    // overhead: generate whole iterations, then drain the pending
-    // queue in runs.
+    // overhead: generate whole iterations, then copy them out in runs.
     size_t produced = 0;
     while (produced < n) {
-        if (pending.empty())
+        if (pendingHead == pending.size())
             emitIteration();
-        size_t take = std::min(n - produced, pending.size());
-        for (size_t i = 0; i < take; ++i)
-            out[produced + i] = pending[i];
-        pending.erase(pending.begin(),
-                      pending.begin() + long(take));
+        size_t take = std::min(n - produced, pending.size() - pendingHead);
+        std::copy_n(pending.data() + pendingHead, take, out + produced);
+        pendingHead += take;
         produced += take;
     }
     return produced;
@@ -357,6 +358,7 @@ SyntheticWorkload::reset()
 {
     rng.seed(prof.seed);
     pending.clear();
+    pendingHead = 0;
     for (auto &p : streamPos)
         p = 0;
     storePos = 0;

@@ -12,7 +12,6 @@
 
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "src/util/rng.hh"
@@ -52,7 +51,11 @@ class SyntheticWorkload : public Workload
 
     WorkloadProfile prof;
     Rng rng;
-    std::deque<isa::MicroOp> pending;
+    /** The current iteration's ops; [pendingHead, end) are still to
+     *  be handed out. Refilled only once drained, and reserved to
+     *  slotsPerIter up front, so it never reallocates. */
+    std::vector<isa::MicroOp> pending;
+    size_t pendingHead = 0;
 
     /** Pointer-chase permutation (node index -> next node index). */
     std::vector<uint32_t> chain;

@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+#include <vector>
+
+#include "src/ckpt/serial.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/mshr.hh"
+#include "src/util/rng.hh"
 
 using namespace kilo;
 using namespace kilo::mem;
@@ -26,6 +32,179 @@ smallGeom()
     g.assoc = 2;        // 8 sets
     g.lineBytes = 64;
     return g;
+}
+
+/**
+ * The MSHR file as it was before the live-way index: the expiry sweep
+ * scans every entry. Kept as the oracle of the randomized equivalence
+ * test below; save() writes the same KILOCKPT layout.
+ */
+class FullScanMshrFile
+{
+  public:
+    FullScanMshrFile(uint32_t capacity, uint64_t sweep_period)
+        : sweepPeriod(sweep_period ? sweep_period : 1)
+    {
+        numWays =
+            capacity < MshrFile::Ways ? capacity : MshrFile::Ways;
+        uint32_t sets =
+            std::bit_ceil((capacity + numWays - 1) / numWays);
+        setMask = sets - 1;
+        entries.resize(size_t(sets) * numWays);
+    }
+
+    uint64_t
+    lookup(uint64_t line, uint64_t now)
+    {
+        sweepIfDue(now);
+        Entry *set = setOf(line);
+        uint64_t fill_done = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone == 0)
+                continue;
+            if (e.fillDone <= now) {
+                freeWay(e);
+                continue;
+            }
+            if (e.line == line)
+                fill_done = e.fillDone;
+        }
+        return fill_done;
+    }
+
+    bool
+    setFull(uint64_t line, uint64_t now)
+    {
+        sweepIfDue(now);
+        Entry *set = setOf(line);
+        uint32_t live = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+            if (e.fillDone != 0)
+                ++live;
+        }
+        return live == numWays;
+    }
+
+    void
+    allocate(uint64_t line, uint64_t fill_done, uint64_t now)
+    {
+        sweepIfDue(now);
+        Entry *set = setOf(line);
+        Entry *victim = nullptr;
+        Entry *soonest = &set[0];
+        uint32_t set_live = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+            if (e.fillDone == 0) {
+                victim = &e;
+            } else {
+                ++set_live;
+                if (e.fillDone < soonest->fillDone ||
+                    soonest->fillDone == 0) {
+                    soonest = &e;
+                }
+            }
+        }
+        if (victim == nullptr) {
+            ++nDisplaced;
+            freeWay(*soonest);
+            victim = soonest;
+            --set_live;
+        }
+        victim->line = line;
+        victim->fillDone = fill_done;
+        ++liveCount;
+        if (liveCount > peak)
+            peak = liveCount;
+        setOccHist.sample(set_live + 1);
+    }
+
+    void
+    resetPeak()
+    {
+        peak = liveCount;
+        nDisplaced = 0;
+        setOccHist.reset();
+    }
+
+    void
+    save(ckpt::Sink &s) const
+    {
+        s.podVector(entries);
+        setOccHist.save(s);
+        s.scalar<uint32_t>(liveCount);
+        s.scalar<uint32_t>(peak);
+        s.scalar<uint64_t>(nDisplaced);
+        s.scalar<uint64_t>(nextSweep);
+    }
+
+    uint32_t occupancy() const { return liveCount; }
+    uint32_t peakOccupancy() const { return peak; }
+    uint64_t displacements() const { return nDisplaced; }
+
+  private:
+    struct Entry
+    {
+        uint64_t line = 0;
+        uint64_t fillDone = 0;
+    };
+
+    Entry *
+    setOf(uint64_t line)
+    {
+        return &entries[size_t(uint32_t(line) & setMask) * numWays];
+    }
+
+    void
+    sweepIfDue(uint64_t now)
+    {
+        if (now < nextSweep)
+            return;
+        for (Entry &e : entries) {
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+        }
+        nextSweep = now + sweepPeriod;
+    }
+
+    void
+    freeWay(Entry &e)
+    {
+        e.fillDone = 0;
+        --liveCount;
+    }
+
+    std::vector<Entry> entries;
+    Histogram setOccHist{1, MshrFile::Ways + 1};
+    uint32_t numWays;
+    uint32_t setMask;
+    uint32_t liveCount = 0;
+    uint32_t peak = 0;
+    uint64_t nDisplaced = 0;
+    uint64_t sweepPeriod;
+    uint64_t nextSweep = 0;
+};
+
+std::vector<uint8_t>
+checkpointOf(const MshrFile &f)
+{
+    ckpt::Sink s;
+    f.save(s);
+    return s.take();
+}
+
+std::vector<uint8_t>
+checkpointOf(const FullScanMshrFile &f)
+{
+    ckpt::Sink s;
+    f.save(s);
+    return s.take();
 }
 
 } // anonymous namespace
@@ -240,6 +419,89 @@ TEST(Mshr, DisplacementOnlyUnderLiveSetPressure)
     f.allocate(9 * 16, 5000, 0); // ninth live fill in the set
     EXPECT_EQ(f.displacements(), 1u);
     EXPECT_EQ(f.occupancy(), 8u); // still bounded by capacity
+}
+
+TEST(Mshr, LiveWayIndexMatchesFullScanRandomized)
+{
+    // Random lookups, set probes, allocations (including
+    // displacements), peak resets and mid-run save/load against the
+    // full-scan oracle. Every observable and every checkpoint byte
+    // must agree after every operation.
+    struct Config
+    {
+        uint32_t capacity;
+        uint64_t sweepPeriod;
+        uint64_t lineRange;
+    };
+    const Config configs[] = {
+        {1, 1, 4},        {1, 50, 3},      {3, 7, 8},
+        {8, 40, 64},      {8, 1000000, 40}, {64, 100, 256},
+        {100, 13, 1000},  {4096, 400, 20000},
+    };
+    for (const Config &cfg : configs) {
+        SCOPED_TRACE("capacity " + std::to_string(cfg.capacity) +
+                     " sweep " + std::to_string(cfg.sweepPeriod));
+        Rng rng(cfg.capacity * 7919 + cfg.sweepPeriod);
+        auto f = std::make_unique<MshrFile>(cfg.capacity,
+                                            cfg.sweepPeriod);
+        FullScanMshrFile ref(cfg.capacity, cfg.sweepPeriod);
+        uint64_t now = 0, displaced = 0;
+        for (int step = 0; step < 20000; ++step) {
+            // Mostly small steps, sometimes a jump past the sweep.
+            if (rng.range(4) == 0)
+                now += rng.range(3 * cfg.sweepPeriod / 2 + 2);
+            else
+                now += rng.range(3);
+            uint64_t line = rng.range(cfg.lineRange);
+            switch (rng.range(16)) {
+              case 0:
+                ASSERT_EQ(f->setFull(line, now),
+                          ref.setFull(line, now));
+                break;
+              case 1:
+                if (rng.range(64) == 0) {
+                    f->resetPeak();
+                    ref.resetPeak();
+                }
+                break;
+              case 2:
+                if (rng.range(32) == 0) {
+                    // Restore a checkpoint into a fresh file.
+                    auto blob = checkpointOf(*f);
+                    ASSERT_EQ(blob, checkpointOf(ref));
+                    f = std::make_unique<MshrFile>(cfg.capacity,
+                                                   cfg.sweepPeriod);
+                    ckpt::Source src(blob);
+                    f->load(src);
+                    ASSERT_TRUE(src.atEnd());
+                }
+                break;
+              case 3:
+              case 4:
+              case 5:
+              case 6:
+              case 7: {
+                uint64_t done = now + 1 + rng.range(600);
+                uint64_t before = ref.displacements();
+                f->allocate(line, done, now);
+                ref.allocate(line, done, now);
+                displaced += ref.displacements() - before;
+                break;
+              }
+              default:
+                ASSERT_EQ(f->lookup(line, now), ref.lookup(line, now));
+                break;
+            }
+            ASSERT_EQ(f->occupancy(), ref.occupancy())
+                << "step " << step;
+            ASSERT_EQ(f->peakOccupancy(), ref.peakOccupancy());
+            ASSERT_EQ(f->displacements(), ref.displacements());
+        }
+        EXPECT_EQ(checkpointOf(*f), checkpointOf(ref));
+        if (cfg.capacity <= 8) {
+            EXPECT_GT(displaced, 0u); // the displacement path ran
+        }
+    }
 }
 
 // ------------------------------------------------- MemoryHierarchy

@@ -36,12 +36,12 @@ class ShardTest : public ::testing::Test
 {
   protected:
     std::string
-    tempPath(const std::string &tag)
+    tempPath(const std::string &tag, const std::string &suffix = "")
     {
         std::string p = ::testing::TempDir() + "kilo_shard_" + tag +
             "_" +
             ::testing::UnitTest::GetInstance()
-                ->current_test_info()->name();
+                ->current_test_info()->name() + suffix;
         files.push_back(p);
         return p;
     }
@@ -247,7 +247,7 @@ TEST_F(ShardTest, OrchestratorMatchesSingleProcessByteForByte)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("golden") + ".ktrc");
+    Manifest m = miniManifest(tempPath("golden", ".ktrc"));
 
     OrchestratorConfig cfg;
     cfg.workerPath = kWorkerPath;
@@ -264,7 +264,7 @@ TEST_F(ShardTest, OrchestratorRetriesCrashedShardOnce)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("retry") + ".ktrc");
+    Manifest m = miniManifest(tempPath("retry", ".ktrc"));
 
     // Crash token: the first worker to claim it aborts; every retry
     // (and every other shard) finds it gone and succeeds.
@@ -287,7 +287,7 @@ TEST_F(ShardTest, OrchestratorFailsAfterExhaustedAttempts)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("fail") + ".ktrc");
+    Manifest m = miniManifest(tempPath("fail", ".ktrc"));
 
     OrchestratorConfig cfg;
     // exec of a nonexistent binary fails every attempt (exit 127).
@@ -309,7 +309,7 @@ TEST_F(ShardTest, SingleShardOrchestrationAlsoMatches)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("one") + ".ktrc");
+    Manifest m = miniManifest(tempPath("one", ".ktrc"));
     OrchestratorConfig cfg;
     cfg.workerPath = kWorkerPath;
     cfg.shards = 1;
@@ -321,7 +321,7 @@ TEST_F(ShardTest, MoreShardsThanJobsClampAndStillMatch)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("clamp") + ".ktrc");
+    Manifest m = miniManifest(tempPath("clamp", ".ktrc"));
     // 3 machines x 2 workloads x 1 mem = 6 jobs; ask for 16 shards.
     OrchestratorConfig cfg;
     cfg.workerPath = kWorkerPath;
@@ -384,7 +384,7 @@ TEST_F(ShardTest, AuditedOrchestrationMatchesAuditedSingle)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("aud") + ".ktrc");
+    Manifest m = miniManifest(tempPath("aud", ".ktrc"));
     m.run.auditIntervalInsts = 1500;
 
     OrchestratorConfig cfg;
@@ -404,7 +404,7 @@ TEST_F(ShardTest, RetriedShardDigestsAreCrossChecked)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("audretry") + ".ktrc");
+    Manifest m = miniManifest(tempPath("audretry", ".ktrc"));
     m.run.auditIntervalInsts = 1500;
 
     // The claiming attempt emits one job (row + digest), then dies;
@@ -432,7 +432,7 @@ TEST_F(ShardTest, RetriedShardDigestMismatchIsHardError)
 {
     if (!workerAvailable())
         GTEST_SKIP() << "kilosim_worker not in CWD";
-    Manifest m = miniManifest(tempPath("audbad") + ".ktrc");
+    Manifest m = miniManifest(tempPath("audbad", ".ktrc"));
     m.run.auditIntervalInsts = 1500;
 
     // The first attempt claims BOTH tokens: it simulates under the
