@@ -191,16 +191,9 @@ class FullScanMshrFile
     uint64_t nextSweep = 0;
 };
 
+template <typename File>
 std::vector<uint8_t>
-checkpointOf(const MshrFile &f)
-{
-    ckpt::Sink s;
-    f.save(s);
-    return s.take();
-}
-
-std::vector<uint8_t>
-checkpointOf(const FullScanMshrFile &f)
+checkpointOf(const File &f)
 {
     ckpt::Sink s;
     f.save(s);
