@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ckpt/serial.hh"
 #include "src/dkip/dkip_core.hh"
+#include "src/sim/session.hh"
+#include "src/sim/sweep_engine.hh"
 #include "src/wload/synthetic.hh"
 #include "test_helpers.hh"
 
@@ -187,4 +190,76 @@ TEST(Analyze, WidthBoundsLlibInsertRate)
     EXPECT_LE(core.stats().llibInsertedInt +
                   core.stats().llibInsertedFp,
               core.stats().cycles * uint64_t(p.analyzeWidth));
+}
+
+// ---------------------------------------------------------------------
+// Byte pins of the two aging-ROB machines
+// ---------------------------------------------------------------------
+
+TEST(AnalyzePinned, KiloAndDkipCheckpointsAndRows)
+{
+    // KILO and D-KIP share the aging-ROB mechanism (Analyze, LLBV,
+    // checkpoints, recovery). Any change to it that moves a single
+    // byte of the mid-run KILOCKPT image or of the final JSONL row
+    // fails here. Each case folds the FNV-1a 64 of the checkpoint
+    // bytes at every step() pause into one digest.
+    struct Pin
+    {
+        bool kilo;
+        const char *workload;
+        const char *mem;
+        uint64_t ckptFnv;
+        uint64_t rowFnv;
+    };
+    const Pin pins[] = {
+        {true, "mcf", "mem-400", 0x19740a73de37653bull,
+         0xb1bc6330a1febe1bull},
+        {true, "swim", "mem-400", 0xd85d15cfb0767933ull,
+         0x9a91381171eefbafull},
+        {true, "gcc", "mem-400", 0x22dc3c4e54f4598full,
+         0xf4bd16ee1d35a849ull},
+        {true, "parser", "mem-400", 0x58c52332472fc488ull,
+         0xd515a49d6aeb6352ull},
+        {true, "wupwise", "mem-400", 0x38ebfb6e34011c5full,
+         0xc416dfb4a7c1e20eull},
+        {false, "mcf", "mem-400", 0x14dd3c262f61fd18ull,
+         0x813603e2447b5c3full},
+        {false, "swim", "mem-400", 0x172bedf1d75f1f51ull,
+         0xf8c8c1f7566324e1ull},
+        {false, "gcc", "mem-400", 0xf6e77b4bef1ff40dull,
+         0x25bbeb7af9e3d589ull},
+        {false, "parser", "mem-400", 0x71cf696bb8c51322ull,
+         0xfccdebaad2a27b58ull},
+        {false, "wupwise", "mem-400", 0x01525c6d791516d6ull,
+         0x59fd6ee435d2dab8ull},
+        {false, "swim", "l2-11", 0xd9a1e055ea2fec33ull,
+         0xe0d5eccb8df4863dull},
+    };
+    sim::RunConfig rc;
+    rc.warmupInsts = 5000;
+    rc.measureInsts = 20000;
+    for (const Pin &pin : pins) {
+        sim::Session s(pin.kilo ? sim::MachineConfig::kilo1024()
+                                : sim::MachineConfig::dkip2048(),
+                       pin.workload, mem::MemConfig::byName(pin.mem),
+                       rc);
+        s.warmup();
+        uint64_t ckpt_fnv = 0;
+        for (int pause = 0; pause < 4 && !s.finished(); ++pause) {
+            s.step(3000);
+            ckpt::Checkpoint c = s.checkpoint();
+            ckpt_fnv = ckpt_fnv * 1099511628211ull ^
+                       ckpt::fnv1a(c.bytes.data(), c.bytes.size());
+        }
+        s.run();
+        std::string row = sim::runResultJson(s.finish());
+        uint64_t row_fnv = ckpt::fnv1a(
+            reinterpret_cast<const uint8_t *>(row.data()), row.size());
+        EXPECT_EQ(ckpt_fnv, pin.ckptFnv)
+            << (pin.kilo ? "kilo " : "dkip ") << pin.workload << " "
+            << pin.mem << " checkpoint bytes changed";
+        EXPECT_EQ(row_fnv, pin.rowFnv)
+            << (pin.kilo ? "kilo " : "dkip ") << pin.workload << " "
+            << pin.mem << " JSONL row changed";
+    }
 }
