@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/logging.hh"
+#include "src/ckpt/serial.hh"
 
 namespace kilo::mem
 {
@@ -107,8 +107,7 @@ class SetAssocCache
     load(Source &s)
     {
         uint64_t sz = s.template scalar<uint64_t>();
-        KILO_ASSERT(sz == store.size(),
-                    "cache checkpoint geometry mismatch");
+        ckpt::expectEq(sz, store.size(), "cache geometry (ways)");
         for (Way &w : store) {
             w.tag = s.template scalar<uint64_t>();
             w.lruStamp = s.template scalar<uint64_t>();

@@ -29,8 +29,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/ckpt/serial.hh"
 #include "src/util/histogram.hh"
-#include "src/util/logging.hh"
 
 namespace kilo::mem
 {
@@ -127,16 +127,15 @@ class MshrFile
     {
         size_t sz = entries.size();
         s.podVector(entries);
-        KILO_ASSERT(entries.size() == sz,
-                    "MSHR checkpoint capacity mismatch");
+        ckpt::expectEq(entries.size(), sz, "MSHR capacity");
         setOccHist.load(s);
         liveWays.clear();
         for (uint32_t i = 0; i < entries.size(); ++i) {
             if (entries[i].fillDone != 0)
                 markLive(i);
         }
-        KILO_ASSERT(s.template scalar<uint32_t>() == occupancy(),
-                    "MSHR checkpoint live count mismatch");
+        ckpt::expectEq(s.template scalar<uint32_t>(), occupancy(),
+                       "MSHR live count");
         peak = s.template scalar<uint32_t>();
         nDisplaced = s.template scalar<uint64_t>();
         nextSweep = s.template scalar<uint64_t>();

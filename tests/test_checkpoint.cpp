@@ -187,6 +187,39 @@ TEST(Checkpoint, MismatchedIdentityRejected)
     EXPECT_THROW(other_workload.restore(snap), ckpt::CheckpointError);
 }
 
+/** A checkpoint restored into a different memory geometry (MSHR
+ *  count, cache levels or sizes) throws instead of aborting. The
+ *  image does not record the memory latencies, so a latency-only
+ *  mismatch is not detected here. */
+TEST(Checkpoint, MismatchedMemoryConfigRejected)
+{
+    RunConfig rc = shortRun();
+    Session src(MachineConfig::r10_64(), "mcf",
+                mem::MemConfig::mem400(), rc);
+    src.warmup();
+    src.step(5000);
+    ckpt::Checkpoint snap = src.checkpoint();
+
+    mem::MemConfig few_mshrs = mem::MemConfig::mem400();
+    few_mshrs.numMshrs = 64;
+    const mem::MemConfig others[] = {
+        few_mshrs,
+        mem::MemConfig::l1Only(),
+        mem::MemConfig::l2Perfect11(),
+        mem::MemConfig::withL2Size(256 * 1024),
+    };
+    for (const mem::MemConfig &mc : others) {
+        Session dst(MachineConfig::r10_64(), "mcf", mc, rc);
+        EXPECT_THROW(dst.restore(snap), ckpt::CheckpointError)
+            << mc.name << " numMshrs " << mc.numMshrs;
+    }
+
+    // The matching configuration still restores.
+    Session same(MachineConfig::r10_64(), "mcf",
+                 mem::MemConfig::mem400(), rc);
+    EXPECT_NO_THROW(same.restore(snap));
+}
+
 /** Trailing garbage after the core state is rejected, not ignored. */
 TEST(Checkpoint, TrailingBytesRejected)
 {
