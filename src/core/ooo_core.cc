@@ -24,19 +24,6 @@ OooCore::queueFor(const DynInst &inst)
 }
 
 void
-OooCore::beginCycleQueues()
-{
-    intIq.beginCycle();
-    fpIq.beginCycle();
-}
-
-size_t
-OooCore::totalReady() const
-{
-    return intIq.numReady() + fpIq.numReady();
-}
-
-void
 OooCore::stageIssue()
 {
     issueFromQueue(intIq, fus, prm.issueWidthInt);
@@ -112,7 +99,6 @@ OooCore::tick()
     stageFetch();
     endCycle();
 }
-
 
 void
 OooCore::saveDerived(ckpt::Sink &s) const

@@ -35,8 +35,6 @@ class OooCore : public PipelineBase
     void tick() override;
     void onCommitInst(InstRef inst) override;
     void onSquashInst(InstRef inst) override;
-    size_t totalReady() const override;
-    void beginCycleQueues() override;
     void saveDerived(ckpt::Sink &s) const override;
     void restoreDerived(ckpt::Source &s) override;
 

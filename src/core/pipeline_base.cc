@@ -123,7 +123,8 @@ PipelineBase::beginCycle()
     portsUsed = 0;
     for (size_t i = 0; i < std::size(PerCycleStalls); ++i)
         perCycleSnap[i] = st.*PerCycleStalls[i];
-    beginCycleQueues();
+    for (int i = 0; i < numIqs; ++i)
+        iqTable[i]->beginCycle();
 }
 
 void
@@ -567,6 +568,15 @@ PipelineBase::nextTimedWake() const
         return UINT64_MAX;
     return upcoming(arena.get(fetchBuffer.front()).fetchCycle +
                     uint64_t(prm.frontEndDepth));
+}
+
+size_t
+PipelineBase::totalReady() const
+{
+    size_t n = 0;
+    for (int i = 0; i < numIqs; ++i)
+        n += iqTable[i]->numReady();
+    return n;
 }
 
 void

@@ -2,13 +2,19 @@
  * @file
  * Shared cycle-level pipeline engine.
  *
- * All three machines (OooCore baseline, KiloCore, DkipCore) are built
- * on this base, which owns the instruction arena, the front end,
- * register scoreboard, LSQ, memory hierarchy, completion event wheel,
- * and the squash-replay recovery machinery. Subclasses own the
- * instruction window policy: what gates dispatch, which queues issue,
- * and what happens when an instruction reaches the head of the
- * (aging) ROB.
+ * All three machines are built on this base, which owns the
+ * instruction arena, the front end, register scoreboard, LSQ, memory
+ * hierarchy, completion event wheel, the squash-replay recovery
+ * machinery and the table of issue queues (whose per-cycle reset and
+ * ready count it walks itself). Subclasses own the instruction window
+ * policy: what gates dispatch, which queues issue, and what happens
+ * when an instruction reaches the head of the ROB. The class tree:
+ *
+ *   PipelineBase
+ *     core::OooCore            ROB, int/FP issue queues, dispatch
+ *       dkip::AgingRobCore     aging ROB, LLBV, Analyze, checkpoints
+ *         kilo_proc::KiloCore  slow lane = out-of-order SLIQ
+ *         dkip::DkipCore       slow lane = LLIBs + MPs, AP window
  *
  * The engine is event assisted: wakeup is push-based (producers wake
  * dependents), and when a cycle performs no work and no instruction
@@ -200,13 +206,20 @@ class PipelineBase
     void stageFetch();
     /** @} */
 
-    /** Per-cycle housekeeping (port counters, queue cycle reset). */
+    /** Per-cycle housekeeping: port counters and the cycle reset of
+     *  every registered issue queue, in registration order. */
     void beginCycle();
 
     /** End-of-cycle housekeeping (LSQ retire, cycle advance). */
     void endCycle();
 
-    /** Subclass hooks. @{ */
+    /**
+     * Subclass hooks: the commit, squash, branch-resolution and
+     * recovery notifications, the recovery penalty, the idle-skip
+     * deadline, and the subclass's checkpoint layout. Queue cycle
+     * reset and the ready count are not hooks: they walk the queues
+     * registered with registerIssueQueue(). @{
+     */
     virtual void onCommitInst(InstRef inst) { (void)inst; }
     virtual void onSquashInst(InstRef inst) { (void)inst; }
     virtual void onBranchResolved(InstRef inst) { (void)inst; }
@@ -217,10 +230,6 @@ class PipelineBase
         (void)branch;
         return 0;
     }
-    /** Total ready-but-unissued instructions (idle-skip guard). */
-    virtual size_t totalReady() const = 0;
-    /** Reset per-cycle state of the subclass's queues. */
-    virtual void beginCycleQueues() = 0;
     /** Earliest timed deadline at or after the current cycle: the
      *  fetch-buffer head's front-end delay, plus the subclass's own
      *  (aging-ROB timer). UINT64_MAX when there is none. */
@@ -366,6 +375,10 @@ class PipelineBase
      * changes timing or any statistic.
      */
     StallReason classifyStall();
+
+    /** Ready-but-unissued instructions over every registered queue
+     *  (idle-skip guard). */
+    size_t totalReady() const;
 
     void completeInst(InstRef ref);
     void wakeDependents(DynInst &inst);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/logging.hh"
-
 namespace kilo::dkip
 {
 
@@ -26,9 +24,10 @@ DkipParams::dkip2048()
 
 DkipCore::DkipCore(const DkipParams &params, wload::Workload &wl,
                    const mem::MemConfig &mem_config)
-    : core::OooCore(params.cp, wl, mem_config),
+    : AgingRobCore(params.cp, wl, mem_config, params.robTimer,
+                   params.analyzeWidth, params.checkpointCapacity,
+                   params.mpRecoveryExtraPenalty),
       dprm(params),
-      llbv(isa::NumRegs),
       llibInt("llibInt", params.llibCapacity, arena),
       llibFp("llibFp", params.llibCapacity, arena),
       llrfInt(params.llrfBanks, params.llrfRegsPerBank),
@@ -38,8 +37,7 @@ DkipCore::DkipCore(const DkipParams &params, wload::Workload &wl,
       apQ("apQ", params.cp.lsqSize, core::SchedPolicy::OutOfOrder,
           arena),
       mpIntFus(params.mpIntFus),
-      mpFpFus(params.mpFpFus),
-      chkpt(params.checkpointCapacity)
+      mpFpFus(params.mpFpFus)
 {
     registerIssueQueue(mpIntQ);
     registerIssueQueue(mpFpQ);
@@ -88,68 +86,9 @@ DkipCore::DkipCore(const DkipParams &params, wload::Workload &wl,
                [this] { return uint64_t(chkpt.size()); });
 }
 
-void
-DkipCore::beginCycleQueues()
-{
-    core::OooCore::beginCycleQueues();
-    mpIntQ.beginCycle();
-    mpFpQ.beginCycle();
-    apQ.beginCycle();
-    llrfInt.beginCycle();
-    llrfFp.beginCycle();
-}
-
-size_t
-DkipCore::totalReady() const
-{
-    return core::OooCore::totalReady() + mpIntQ.numReady() +
-           mpFpQ.numReady() + apQ.numReady();
-}
-
-core::StallReason
-DkipCore::refineStallReason(const core::DynInst &head,
-                            core::StallReason r) const
-{
-    using R = core::StallReason;
-    // A head sitting unissued in a slow-lane structure (LLIB FIFO,
-    // MP reservation queue, AP window) is stalled on the decoupled
-    // machinery itself — checkpointed slow-lane execution — not on
-    // the CP's dataflow or issue bandwidth.
-    if ((r == R::Depend || r == R::Issue) &&
-        (head.inLlib || head.execInMp))
-        return R::Decoupled;
-    return r;
-}
-
-uint64_t
-DkipCore::nextTimedWake() const
-{
-    // Only a head still aging is a deadline: once its timer has
-    // passed, Analyze waits on a completion or a ready instruction.
-    uint64_t wake = core::OooCore::nextTimedWake();
-    if (!rob.empty()) {
-        wake = std::min(wake,
-                        upcoming(arena.cold(rob.front()).dispatchCycle +
-                                 uint64_t(dprm.robTimer)));
-    }
-    return wake;
-}
-
 // ---------------------------------------------------------------------
-// Analyze
+// Slow-lane insert
 // ---------------------------------------------------------------------
-
-bool
-DkipCore::sourcesLongLatency(const core::DynInst &inst) const
-{
-    // The paper's rule: classify by the LLBV bits of the source
-    // registers; Analyze is in order, so at this point the LLBV
-    // reflects exactly the definitions older than inst.
-    int16_t s1 = inst.op.src1;
-    int16_t s2 = inst.op.src2;
-    return (s1 != isa::NoReg && llbv.test(size_t(s1))) ||
-           (s2 != isa::NoReg && llbv.test(size_t(s2)));
-}
 
 bool
 DkipCore::hasReadyOperand(const core::DynInst &inst) const
@@ -169,156 +108,42 @@ DkipCore::hasReadyOperand(const core::DynInst &inst) const
 }
 
 bool
-DkipCore::insertIntoLlib(InstRef ref)
+DkipCore::insertSlowLane(InstRef ref)
 {
     core::DynInst &inst = arena.get(ref);
-    KILO_ASSERT(!inst.issued,
-                "issued instruction classified low-locality");
+    if (inst.op.isMem()) {
+        // Memory operations never enter the LLIB: they have held an
+        // LSQ entry since dispatch, and the Address Processor issues
+        // them over the memory ports the moment their operands
+        // arrive ("long-latency loads are executed in the address
+        // processor", 3.2). This keeps independent miss chains
+        // overlapped even though the LLIB is a FIFO.
+        if (apQ.full())
+            return false;
+        parkInSlowLane(ref, 2);
+        apQ.insert(ref);
+        return true;
+    }
+
     bool fp = inst.op.isFp();
     Llib &q = fp ? llibFp : llibInt;
     Llrf &rf = fp ? llrfFp : llrfInt;
-
     if (q.full()) {
         ++st.llibFullStalls;
         return false;
     }
-    bool needs_reg = hasReadyOperand(inst);
-    if (needs_reg && !rf.tryAlloc(inst)) {
+    if (hasReadyOperand(inst) && !rf.tryAlloc(inst)) {
         ++st.llrfFullStalls;
         return false;
     }
-    if (inst.op.isBranch()) {
-        if (chkpt.full()) {
-            // No free checkpoint: the branch proceeds uncovered (the
-            // hardware would have skipped this high-confidence-style
-            // checkpoint); a misprediction then replays from an older
-            // checkpoint at a higher recovery penalty.
-            ++st.checkpointSkips;
-        } else {
-            chkpt.push(inst.seq, llbv);
-            ++st.checkpointsTaken;
-            obsEvent(obs::EventKind::CkptCreate, inst.seq,
-                     chkpt.size());
-        }
-    }
-
-    if (core::IssueQueue *iq = queueById(inst.iqId))
-        iq->erase(ref);
-    if (inst.op.dst != isa::NoReg)
-        llbv.set(size_t(inst.op.dst));
+    parkInSlowLane(ref, fp ? 1 : 0);
     inst.inLlib = true;
-    inst.longLatency = true;
-    inst.execInMp = true;
-    obsEvent(obs::EventKind::Park, inst.seq, 0, fp ? 1 : 0);
     q.push(ref);
     if (fp)
         ++st.llibInsertedFp;
     else
         ++st.llibInsertedInt;
     return true;
-}
-
-void
-DkipCore::stageAnalyze()
-{
-    int budget = dprm.analyzeWidth;
-    while (budget > 0 && !rob.empty()) {
-        InstRef headRef = rob.front();
-        core::DynInst &head = arena.get(headRef);
-
-        // The Aging-ROB: entries face Analyze a fixed timer after
-        // decode. The timer is sized so an L2 hit/miss indication is
-        // back by the time a load reaches the head.
-        if (now <
-            arena.coldOf(head).dispatchCycle + uint64_t(dprm.robTimer))
-            break;
-
-        if (head.completed) {
-            // Executed: short latency. Completion redefines the
-            // destination as high-locality.
-            if (head.op.dst != isa::NoReg)
-                llbv.clear(size_t(head.op.dst));
-            rob.pop_front();
-            releaseAgingRobEntry(head);
-            --budget;
-            ++activity;
-            continue;
-        }
-
-        if (head.op.isLoad() && head.issued) {
-            if (head.longLatency) {
-                // Off-chip miss: mark the destination low-locality;
-                // the Address Processor delivers the value to the
-                // LLIB's value FIFO when memory returns.
-                if (head.op.dst != isa::NoReg)
-                    llbv.set(size_t(head.op.dst));
-                rob.pop_front();
-                releaseAgingRobEntry(head);
-                --budget;
-                ++activity;
-                continue;
-            }
-            // Cache hit still in flight: wait for writeback.
-            ++st.analyzeStallCycles;
-            break;
-        }
-
-        if (head.issued) {
-            // Non-load already executing (its sources were ready even
-            // if the LLBV still flags them): short latency by
-            // definition; wait for writeback.
-            ++st.analyzeStallCycles;
-            break;
-        }
-
-        bool low = sourcesLongLatency(head);
-        if (!low && head.op.isLoad() && !head.issued) {
-            // Memory dependence through a low-locality store: the
-            // load belongs to the slice even though its registers are
-            // high-locality.
-            auto check = lsq.checkLoad(head);
-            if (check.kind == core::LoadCheck::Kind::Blocked) {
-                const core::DynInst &st_ = arena.get(check.store);
-                if (st_.execInMp || st_.longLatency)
-                    low = true;
-            }
-        }
-
-        if (low) {
-            if (head.op.isMem()) {
-                // Memory operations never enter the LLIB: they have
-                // held an LSQ entry since dispatch, and the Address
-                // Processor issues them over the memory ports the
-                // moment their operands arrive ("long-latency loads
-                // are executed in the address processor", 3.2). This
-                // keeps independent miss chains overlapped even
-                // though the LLIB is a FIFO.
-                if (apQ.full())
-                    break;
-                if (core::IssueQueue *iq = queueById(head.iqId))
-                    iq->erase(headRef);
-                if (head.op.dst != isa::NoReg)
-                    llbv.set(size_t(head.op.dst));
-                head.longLatency = true;
-                head.execInMp = true;
-                obsEvent(obs::EventKind::Park, head.seq, 0, 2);
-                apQ.insert(headRef);
-            } else if (!insertIntoLlib(headRef)) {
-                break;
-            }
-            rob.pop_front();
-            releaseAgingRobEntry(head);
-            --budget;
-            ++activity;
-            continue;
-        }
-
-        // Short-latency but not yet executed: the paper stalls
-        // Analyze until writeback so checkpoints always see READY
-        // short-latency values (~0.7% IPC loss reported).
-        ++st.analyzeStallCycles;
-        break;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -360,7 +185,7 @@ DkipCore::stageExtract()
 }
 
 // ---------------------------------------------------------------------
-// Issue, recovery hooks, accounting
+// Issue, squash, accounting
 // ---------------------------------------------------------------------
 
 void
@@ -376,21 +201,10 @@ DkipCore::stageIssueDecoupled()
 }
 
 void
-DkipCore::onCommitInst(InstRef inst)
-{
-    // Unlike the baseline, ROB entries left at Analyze; commit is
-    // bookkeeping only.
-    (void)inst;
-}
-
-void
 DkipCore::onSquashInst(InstRef ref)
 {
+    AgingRobCore::onSquashInst(ref);
     core::DynInst &inst = arena.get(ref);
-    if (!rob.empty() && rob.back() == ref) {
-        rob.pop_back();
-        inst.inRob = false;
-    }
     if (inst.inLlib) {
         bool fp = inst.op.isFp();
         (fp ? llibFp : llibInt).notifySquashed(ref);
@@ -399,47 +213,6 @@ DkipCore::onSquashInst(InstRef ref)
     } else if (inst.llrfBank >= 0) {
         (inst.op.isFp() ? llrfFp : llrfInt).release(inst);
     }
-}
-
-void
-DkipCore::onBranchResolved(InstRef ref)
-{
-    const core::DynInst &inst = arena.get(ref);
-    if (inst.execInMp)
-        chkpt.resolve(inst.seq);
-}
-
-int
-DkipCore::recoveryExtraPenalty(InstRef ref) const
-{
-    const core::DynInst &branch = arena.get(ref);
-    if (!branch.execInMp)
-        return 0;
-    // MP mispredictions restore a full checkpoint instead of using
-    // the CP's rename stack; an uncovered branch replays from an
-    // older checkpoint and pays correspondingly more.
-    bool covered = chkpt.findFor(branch.seq) != nullptr;
-    return covered ? dprm.mpRecoveryExtraPenalty
-                   : 3 * dprm.mpRecoveryExtraPenalty;
-}
-
-void
-DkipCore::onRecovered(InstRef ref)
-{
-    const core::DynInst &branch = arena.get(ref);
-    if (branch.execInMp) {
-        const Checkpoint *cp = chkpt.findFor(branch.seq);
-        if (cp) {
-            llbv = cp->llbv;
-        } else {
-            // Conservative full clear (paper's literal recovery
-            // semantics) when no checkpoint is available.
-            llbv.clearAll();
-        }
-        obsEvent(obs::EventKind::CkptRestore, branch.seq,
-                 cp ? 1 : 0);
-    }
-    chkpt.squashFrom(branch.seq);
 }
 
 void
@@ -459,6 +232,8 @@ void
 DkipCore::tick()
 {
     beginCycle();
+    llrfInt.beginCycle();
+    llrfFp.beginCycle();
     stageCommit();
     stageComplete();
     stageAnalyze();
@@ -469,7 +244,6 @@ DkipCore::tick()
     trackOccupancy();
     endCycle();
 }
-
 
 void
 DkipCore::saveDerived(ckpt::Sink &s) const

@@ -21,15 +21,18 @@
  *   - Checkpoint stack: selective checkpoints at LLIB-resident
  *     branches; a misprediction resolving in the MP recovers the full
  *     machine (CP + LLIBs + MPs) through its checkpoint.
+ *
+ * The Aging-ROB, Analyze, LLBV and checkpoint recovery are the
+ * mechanism KILO shares (AgingRobCore); this class adds the slow lane
+ * behind it: the LLIB/LLRF and AP-window insert, Extract, and the
+ * MP/AP issue.
  */
 
 #pragma once
 
-#include "src/core/ooo_core.hh"
-#include "src/dkip/checkpoint_stack.hh"
+#include "src/dkip/aging_rob_core.hh"
 #include "src/dkip/llib.hh"
 #include "src/dkip/llrf.hh"
-#include "src/util/bit_vector.hh"
 
 namespace kilo::dkip
 {
@@ -64,52 +67,28 @@ struct DkipParams
 };
 
 /** The decoupled KILO-instruction processor. */
-class DkipCore : public core::OooCore
+class DkipCore : public AgingRobCore
 {
   public:
-    using InstRef = core::InstRef;
-
     DkipCore(const DkipParams &params, wload::Workload &workload,
              const mem::MemConfig &mem_config);
 
-    /** Structure inspection for tests and occupancy benches. @{ */
-    const Llib &intLlib() const { return llibInt; }
-    const Llib &fpLlib() const { return llibFp; }
-    const Llrf &intLlrf() const { return llrfInt; }
-    const Llrf &fpLlrf() const { return llrfFp; }
-    const CheckpointStack &checkpoints() const { return chkpt; }
-    const BitVector &lowLocalityBits() const { return llbv; }
-    /** @} */
-
   protected:
     void tick() override;
-    void onCommitInst(InstRef inst) override;
+    bool insertSlowLane(InstRef ref) override;
     void onSquashInst(InstRef inst) override;
-    void onBranchResolved(InstRef inst) override;
-    void onRecovered(InstRef branch) override;
-    int recoveryExtraPenalty(InstRef branch) const override;
-    size_t totalReady() const override;
-    void beginCycleQueues() override;
-    uint64_t nextTimedWake() const override;
-    core::StallReason
-    refineStallReason(const core::DynInst &head,
-                      core::StallReason r) const override;
     void saveDerived(ckpt::Sink &s) const override;
     void restoreDerived(ckpt::Source &s) override;
 
-    void stageAnalyze();
     void stageExtract();
     void stageIssueDecoupled();
 
   private:
-    bool sourcesLongLatency(const core::DynInst &inst) const;
     bool hasReadyOperand(const core::DynInst &inst) const;
-    bool insertIntoLlib(InstRef ref);
     void extractFrom(Llib &llib, Llrf &llrf, core::IssueQueue &mpq);
     void trackOccupancy();
 
     DkipParams dprm;
-    BitVector llbv;
 
     Llib llibInt;
     Llib llibFp;
@@ -128,8 +107,6 @@ class DkipCore : public core::OooCore
     core::IssueQueue apQ;
     core::FuPool mpIntFus;
     core::FuPool mpFpFus;
-
-    CheckpointStack chkpt;
 };
 
 } // namespace kilo::dkip

@@ -3,11 +3,11 @@
  * Traditional KILO-instruction processor baseline (Cristal et al.,
  * HPCA 2004 — reference [9] of the paper).
  *
- * A centralised machine with a pseudo-ROB: instructions drain past
- * the head a fixed timer after decode, exactly like the D-KIP's
- * Aging-ROB, but long-latency slices move to the Slow Lane
- * Instruction Queue (SLIQ) — a large *out-of-order* secondary queue
- * with global wakeup that issues to the same functional units. This
+ * A centralised machine with a pseudo-ROB: the D-KIP's aging-ROB
+ * mechanism (dkip::AgingRobCore), but long-latency slices move to
+ * the Slow Lane Instruction Queue (SLIQ) — a large *out-of-order*
+ * secondary queue with global wakeup that issues to the same
+ * functional units. This
  * is the KILO-1024 configuration of the paper's Figure 9: better on
  * pointer chasing than the FIFO LLIB, but paying for a 1024-entry
  * CAM and the ephemeral-register machinery.
@@ -15,9 +15,7 @@
 
 #pragma once
 
-#include "src/core/ooo_core.hh"
-#include "src/dkip/checkpoint_stack.hh"
-#include "src/util/bit_vector.hh"
+#include "src/dkip/aging_rob_core.hh"
 
 namespace kilo::kilo_proc
 {
@@ -40,47 +38,21 @@ struct KiloParams
 };
 
 /** Checkpointed out-of-order-commit processor with a SLIQ. */
-class KiloCore : public core::OooCore
+class KiloCore : public dkip::AgingRobCore
 {
   public:
-    using InstRef = core::InstRef;
-
     KiloCore(const KiloParams &params, wload::Workload &workload,
              const mem::MemConfig &mem_config);
 
-    /** SLIQ occupancy (tests). */
-    size_t sliqOccupancy() const { return sliq.size(); }
-
-    /** Checkpoint stack (tests). */
-    const dkip::CheckpointStack &checkpoints() const { return chkpt; }
-
   protected:
     void tick() override;
-    void onCommitInst(InstRef inst) override;
-    void onSquashInst(InstRef inst) override;
-    void onBranchResolved(InstRef inst) override;
-    void onRecovered(InstRef branch) override;
-    int recoveryExtraPenalty(InstRef branch) const override;
-    size_t totalReady() const override;
-    void beginCycleQueues() override;
-    uint64_t nextTimedWake() const override;
-    core::StallReason
-    refineStallReason(const core::DynInst &head,
-                      core::StallReason r) const override;
+    bool insertSlowLane(InstRef ref) override;
     void saveDerived(ckpt::Sink &s) const override;
     void restoreDerived(ckpt::Source &s) override;
 
-    void stageAnalyze();
-
   private:
-    bool sourcesLongLatency(const core::DynInst &inst) const;
-    bool moveToSliq(InstRef ref);
-
     KiloParams kprm;
-    BitVector llbv;
     core::IssueQueue sliq;
-    dkip::CheckpointStack chkpt;
 };
 
 } // namespace kilo::kilo_proc
-
