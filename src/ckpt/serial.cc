@@ -18,6 +18,19 @@ expectEq(uint64_t got, uint64_t want, const char *what)
     }
 }
 
+void
+expectAtMost(uint64_t got, uint64_t cap, const char *what)
+{
+    if (got > cap) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "checkpoint mismatch: %s is %llu, capacity %llu",
+                      what, (unsigned long long)got,
+                      (unsigned long long)cap);
+        throw CheckpointError(buf);
+    }
+}
+
 uint64_t
 fnv1a(const uint8_t *p, size_t n)
 {

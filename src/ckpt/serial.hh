@@ -44,6 +44,9 @@ class CheckpointError : public std::runtime_error
 /** Raise CheckpointError when @p got differs from @p want. */
 void expectEq(uint64_t got, uint64_t want, const char *what);
 
+/** Raise CheckpointError when @p got exceeds @p cap. */
+void expectAtMost(uint64_t got, uint64_t cap, const char *what);
+
 /** What a Sink does with the bytes serialized into it. */
 enum class SinkMode : uint8_t
 {

@@ -113,8 +113,7 @@ void
 OooCore::restoreDerived(ckpt::Source &s)
 {
     rob.load(s);
-    KILO_ASSERT(rob.size() <= prm.robSize,
-                "ROB checkpoint exceeds capacity");
+    ckpt::expectAtMost(rob.size(), prm.robSize, "ROB occupancy");
     intIq.load(s);
     fpIq.load(s);
     fus.load(s);

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <deque>
 
+#include "src/ckpt/serial.hh"
 #include "src/util/bit_vector.hh"
-#include "src/util/logging.hh"
 
 namespace kilo::dkip
 {
@@ -58,7 +58,8 @@ class CheckpointStack
 
     /** Serialize / restore the in-flight checkpoints element-wise
      *  (each entry carries a BitVector). Capacity is configuration;
-     *  load() asserts the saved count fits. @{ */
+     *  load() throws ckpt::CheckpointError when the saved count
+     *  does not fit. @{ */
     template <typename Sink>
     void
     save(Sink &s) const
@@ -76,8 +77,7 @@ class CheckpointStack
     load(Source &s)
     {
         uint64_t n = s.template scalar<uint64_t>();
-        KILO_ASSERT(n <= cap,
-                    "checkpoint-stack checkpoint exceeds capacity");
+        ckpt::expectAtMost(n, cap, "checkpoint-stack depth");
         entries.clear();
         for (uint64_t i = 0; i < n; ++i) {
             Checkpoint c;

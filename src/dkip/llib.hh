@@ -12,9 +12,9 @@
 
 #include <string>
 
+#include "src/ckpt/serial.hh"
 #include "src/core/dyn_inst.hh"
 #include "src/core/inst_arena.hh"
-#include "src/util/logging.hh"
 #include "src/util/ring_deque.hh"
 
 namespace kilo::dkip
@@ -76,9 +76,8 @@ class Llib
     load(Source &s)
     {
         q.load(s);
-        KILO_ASSERT(q.size() <= cap,
-                    "LLIB %s checkpoint exceeds capacity",
-                    label.c_str());
+        ckpt::expectAtMost(q.size(), cap,
+                           (label + " occupancy").c_str());
         maxOcc = s.template scalar<uint64_t>();
     }
     /** @} */

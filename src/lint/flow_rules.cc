@@ -1,8 +1,7 @@
 /**
  * @file
  * kilolint's semantic tier: rules over the cross-TU ProjectModel
- * (layering, include cycles, stats liveness/schema sync) and
- * function-scope flow (Session phase order).
+ * (layering, include cycles, stats liveness).
  *
  * Same philosophy as the token rules in rules.cc: heuristic, zero
  * false positives on this tree, degrade by dropping the check — a
@@ -258,105 +257,6 @@ class DeadStatRule : public Rule
     }
 };
 
-// ---------------------------------------------------- schema-sync
-
-class SchemaSyncRule : public Rule
-{
-  public:
-    SchemaSyncRule()
-        : Rule("schema-sync",
-               "every stat key in tools/stats_schema.golden has a "
-               "live Registry registration in src/; a key with none "
-               "is documentation for a stat that no longer exists",
-               Severity::Error)
-    {}
-
-    void
-    check(const SourceFile &, std::vector<Finding> &) const override
-    {}
-
-    void
-    checkModel(const ProjectModel &m,
-               std::vector<Finding> &out) const override
-    {
-        const SchemaGolden &schema = m.schema();
-        if (!schema.loaded)
-            return;
-        std::set<std::string> registered;
-        for (const StatReg &reg : m.statRegs())
-            registered.insert(reg.name);
-        for (const auto &[key, line] : schema.keys) {
-            if (registered.count(key))
-                continue;
-            reportAt(out, schema.path, line,
-                     "schema key \"" + key +
-                         "\" has no live registration in src/ — "
-                         "stale schema entry");
-        }
-    }
-};
-
-// ---------------------------------------------------- phase-order
-
-/**
- * Function-scope flow over sim::Session: after `x.finish()` the run
- * is over and its RunResult harvested — a later `x.step(...)` or
- * `x.runFor(...)` on the same object in the same function body is
- * always a bug (the session asserts at run time; this catches it on
- * paths no test drives). A per-file rule: needs no model.
- */
-class PhaseOrderRule : public Rule
-{
-  public:
-    PhaseOrderRule()
-        : Rule("phase-order",
-               "no step()/runFor() on a session object after its "
-               "finish() in the same function body — the run is "
-               "over and the result already harvested",
-               Severity::Error)
-    {}
-
-    void
-    check(const SourceFile &f, std::vector<Finding> &out) const override
-    {
-        const auto &t = f.tokens;
-        FunctionMap fm = functionMap(f);
-
-        // (body id, receiver) -> line of the finish() call.
-        std::map<std::pair<int, std::string>, int> finished;
-        for (size_t i = 0; i + 3 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier)
-                continue;
-            const Token &dot = at(t, i + 1);
-            if (!isPunct(dot, ".") && !isPunct(dot, "->"))
-                continue;
-            const Token &method = at(t, i + 2);
-            if (method.kind != TokKind::Identifier ||
-                !isPunct(at(t, i + 3), "("))
-                continue;
-            int body = fm.bodyAt[i];
-            if (body < 0)
-                continue;
-            std::pair<int, std::string> key{body, t[i].text};
-            if (method.text == "finish") {
-                finished.emplace(key, method.line);
-                continue;
-            }
-            if (method.text != "step" && method.text != "runFor")
-                continue;
-            auto it = finished.find(key);
-            if (it == finished.end())
-                continue;
-            report(out, f, method.line,
-                   "'" + t[i].text + "." + method.text +
-                       "()' after '" + t[i].text +
-                       ".finish()' (line " +
-                       std::to_string(it->second) +
-                       ") — the session is finished");
-        }
-    }
-};
-
 } // anonymous namespace
 
 void
@@ -365,8 +265,6 @@ addModelRules(RuleRegistry &reg)
     reg.add(std::make_unique<LayeringRule>());
     reg.add(std::make_unique<IncludeCycleRule>());
     reg.add(std::make_unique<DeadStatRule>());
-    reg.add(std::make_unique<SchemaSyncRule>());
-    reg.add(std::make_unique<PhaseOrderRule>());
 }
 
 } // namespace kilo::lint

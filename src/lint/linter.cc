@@ -1,7 +1,6 @@
 #include "src/lint/linter.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -185,8 +184,7 @@ Analysis::run()
     LintReport report;
     report.filesScanned = int(files_.size());
 
-    ProjectModel model =
-        ProjectModel::build(files_, opts_.layers, opts_.schema);
+    ProjectModel model = ProjectModel::build(files_, layers_);
 
     std::vector<Finding> raw;
     for (const auto &rule : rules_.rules()) {
@@ -199,8 +197,7 @@ Analysis::run()
 
     // Suppressions act per file, whichever tier produced the
     // finding. Findings on paths that are not lexed files (the layer
-    // spec, the schema golden) cannot carry annotations and pass
-    // through.
+    // spec) cannot carry annotations and pass through.
     std::map<std::string, std::vector<Finding>> byPath;
     for (auto &fd : raw)
         byPath[fd.path].push_back(std::move(fd));
@@ -228,68 +225,6 @@ Analysis::run()
                          return a.message < b.message;
                      });
     return report;
-}
-
-// ------------------------------------------------- report formats
-
-namespace
-{
-
-void
-jsonEscape(std::ostringstream &os, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
-} // anonymous namespace
-
-std::string
-reportJson(const LintReport &report)
-{
-    std::ostringstream os;
-    os << "{\"files\":" << report.filesScanned
-       << ",\"suppressions\":{\"total\":" << report.suppressionsTotal
-       << ",\"used\":" << report.suppressionsUsed
-       << "},\"findings\":[";
-    bool first = true;
-    for (const auto &f : report.findings) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"file\":\"";
-        jsonEscape(os, f.path);
-        os << "\",\"line\":" << f.line << ",\"rule\":\"";
-        jsonEscape(os, f.rule);
-        os << "\",\"severity\":\"" << severityName(f.severity)
-           << "\",\"message\":\"";
-        jsonEscape(os, f.message);
-        os << "\"}";
-    }
-    os << "]}";
-    return os.str();
 }
 
 } // namespace kilo::lint

@@ -104,7 +104,7 @@ class Rule
                 int line, std::string message) const;
 
     /** Same, for model findings not tied to a lexed file (layer
-     *  spec or schema golden lines). */
+     *  spec lines). */
     void reportAt(std::vector<Finding> &out, std::string path,
                   int line, std::string message) const;
 
@@ -147,9 +147,8 @@ class RuleRegistry
 
 /**
  * Register the semantic-tier rules (src/lint/flow_rules.cc):
- * layering, include-cycle, dead-stat, schema-sync, phase-order.
- * Called by RuleRegistry::builtin(); exposed for registries built
- * by hand.
+ * layering, include-cycle, dead-stat. Called by
+ * RuleRegistry::builtin(); exposed for registries built by hand.
  */
 void addModelRules(RuleRegistry &reg);
 
@@ -164,13 +163,6 @@ struct LintReport
     bool clean() const { return findings.empty(); }
 };
 
-/** What a full Analysis run checks beyond the per-file rules. */
-struct AnalysisOptions
-{
-    LayerSpec layers;    ///< loaded => layering checks active
-    SchemaGolden schema; ///< loaded => schema-sync checks active
-};
-
 /**
  * The two-tier pipeline: collect every file first, build one
  * ProjectModel, then run each rule's per-file check() plus its
@@ -181,9 +173,9 @@ struct AnalysisOptions
 class Analysis
 {
   public:
-    explicit Analysis(const RuleRegistry &rules,
-                      AnalysisOptions opts = {})
-        : rules_(rules), opts_(std::move(opts))
+    /** @p layers: the module DAG; loaded => layering checks. */
+    explicit Analysis(const RuleRegistry &rules, LayerSpec layers = {})
+        : rules_(rules), layers_(std::move(layers))
     {}
 
     /** Queue one in-memory buffer. */
@@ -202,15 +194,8 @@ class Analysis
 
   private:
     const RuleRegistry &rules_;
-    AnalysisOptions opts_;
+    LayerSpec layers_;
     std::vector<SourceFile> files_;
 };
-
-/**
- * Machine-readable report:
- * {"files":N,"suppressions":{"total":N,"used":N},
- *  "findings":[{"file","line","rule","severity","message"}...]}
- */
-std::string reportJson(const LintReport &report);
 
 } // namespace kilo::lint

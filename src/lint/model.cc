@@ -193,34 +193,6 @@ LayerSpec::parse(const std::string &path, const std::string &text)
     return spec;
 }
 
-// --------------------------------------------------- schema golden
-
-SchemaGolden
-SchemaGolden::parse(const std::string &path, const std::string &text)
-{
-    SchemaGolden g;
-    g.path = path;
-    g.loaded = true;
-
-    std::istringstream in(text);
-    std::string ln;
-    int lineno = 0;
-    while (std::getline(in, ln)) {
-        ++lineno;
-        size_t b = ln.find_first_not_of(" \t\r");
-        if (b == std::string::npos)
-            continue;
-        if (ln.compare(b, 2, "==") == 0)
-            continue;  // "== MACHINE ==" section header
-        size_t e = ln.find_first_of(" \t", b);
-        std::string key = ln.substr(b, e == std::string::npos
-                                           ? std::string::npos
-                                           : e - b);
-        g.keys.emplace(key, lineno);
-    }
-    return g;
-}
-
 // ----------------------------------------------- function bodies
 
 /** Keywords that look like `name (` but never open a function. */
@@ -236,39 +208,32 @@ controlKeyword(const std::string &s)
     return kw.count(s) != 0;
 }
 
-FunctionMap
-functionMap(const SourceFile &f)
+std::vector<std::string>
+enclosingFunctions(const SourceFile &f)
 {
     const auto &t = f.tokens;
-    FunctionMap out;
-    out.nameAt.resize(t.size());
-    out.bodyAt.assign(t.size(), -1);
+    std::vector<std::string> out(t.size());
 
     struct Open
     {
         std::string name;
-        int id;
         int depth;  ///< brace depth at which the body opened
     };
     std::vector<Open> stack;
     int depth = 0;
-    int nextId = 0;
 
     std::string pendingName;
     size_t pendingBody = size_t(-1);
 
     for (size_t i = 0; i < t.size(); ++i) {
-        if (!stack.empty()) {
-            out.nameAt[i] = stack.back().name;
-            out.bodyAt[i] = stack.back().id;
-        }
+        if (!stack.empty())
+            out[i] = stack.back().name;
 
         const Token &tok = t[i];
         if (tok.kind == TokKind::Punct) {
             if (tok.text == "{") {
                 if (i == pendingBody) {
-                    stack.push_back(
-                        Open{pendingName, nextId++, depth});
+                    stack.push_back(Open{pendingName, depth});
                     pendingBody = size_t(-1);
                 }
                 ++depth;
@@ -615,11 +580,10 @@ collectUpdates(const SourceFile &f,
 
 ProjectModel
 ProjectModel::build(const std::vector<SourceFile> &files,
-                    LayerSpec layers, SchemaGolden schema)
+                    LayerSpec layers)
 {
     ProjectModel m;
     m.layers_ = std::move(layers);
-    m.schema_ = std::move(schema);
 
     for (const SourceFile &f : files) {
         m.files_.push_back(&f);

@@ -7,9 +7,8 @@
  * keep the sharded sweep fabric and the coming multi-core refactor
  * tractable are *structural*: the module layering (util below stats
  * below mem below core ... — an upward #include couples a foundation
- * layer to its clients), the include graph being acyclic, and the
- * stats registry staying in sync with both its update sites and the
- * checked-in JSONL schema golden.
+ * layer to its clients), the include graph being acyclic, and every
+ * registered stat having an update site.
  *
  * ProjectModel is built in one pass over every lexed file and holds
  * exactly the indices those checks need:
@@ -20,9 +19,8 @@
  *     bound field identifier) and, project-wide, the set of field
  *     identifiers that are ever mutated, sampled into, or address-
  *     taken outside a registration — the dead-stat cross-check;
- *   - the parsed layer DAG (src/lint/layers) and the parsed schema
- *     golden (tools/stats_schema.golden) when the analysis was given
- *     them.
+ *   - the parsed layer DAG (src/lint/layers) when the analysis was
+ *     given one.
  *
  * Like the per-file rules, everything here is heuristic token
  * pattern matching — the bar is "no false positives on this tree"
@@ -112,32 +110,11 @@ struct LayerSpec
                            const std::string &text);
 };
 
-/** The schema golden's stat keys (tools/stats_schema.golden). */
-struct SchemaGolden
-{
-    std::string path;                  ///< display path for findings
-    std::map<std::string, int> keys;   ///< key -> first line seen
-    bool loaded = false;
-
-    static SchemaGolden parse(const std::string &path,
-                              const std::string &text);
-};
-
 /**
- * Per-token function-body map for one file: the name of the
- * innermost enclosing function definition and a unique id per body
- * instance (distinct bodies never share an id, even when the
- * functions share a name — gtest TEST bodies all "look like" a
- * function named TEST). Tokens at file/class/namespace scope get
- * name "" / id -1.
+ * Per-token name of the innermost enclosing function definition in
+ * one file; "" for tokens at file/class/namespace scope.
  */
-struct FunctionMap
-{
-    std::vector<std::string> nameAt;
-    std::vector<int> bodyAt;
-};
-
-FunctionMap functionMap(const SourceFile &f);
+std::vector<std::string> enclosingFunctions(const SourceFile &f);
 
 /** See file comment. Built once per Analysis run. */
 class ProjectModel
@@ -145,12 +122,12 @@ class ProjectModel
   public:
     /**
      * Build the model over @p files (lexed, any path style). The
-     * pointers must outlive the model. @p layers / @p schema may be
-     * default-constructed (loaded == false) to disable the checks
-     * that need them.
+     * pointers must outlive the model. @p layers may be
+     * default-constructed (loaded == false) to disable the layering
+     * check.
      */
     static ProjectModel build(const std::vector<SourceFile> &files,
-                              LayerSpec layers, SchemaGolden schema);
+                              LayerSpec layers);
 
     const std::vector<const SourceFile *> &files() const
     {
@@ -182,7 +159,6 @@ class ProjectModel
     }
 
     const LayerSpec &layers() const { return layers_; }
-    const SchemaGolden &schema() const { return schema_; }
 
   private:
     std::vector<const SourceFile *> files_;
@@ -191,7 +167,6 @@ class ProjectModel
     std::vector<StatReg> regs_;
     std::set<std::string> updated_;
     LayerSpec layers_;
-    SchemaGolden schema_;
 };
 
 } // namespace kilo::lint

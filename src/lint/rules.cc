@@ -9,12 +9,14 @@
  *                       test (tests/test_arena.cpp)
  *   nondeterminism    — the golden JSONL / trace / sharded-merge
  *                       bit-identity diffs
- *   stat-name-style   — the stats_schema.golden naming contract
- *                       (src/stats/DESIGN.md)
  *   raw-serialization — the versioned KILOTRC/KILOCKPT formats owned
  *                       by src/trace and src/ckpt
  *   header-hygiene    — include-once, no using-namespace in headers,
  *                       no std::endl
+ *
+ * plus unused-suppression, emitted by the Analysis driver. The
+ * cross-TU rules (layering, include-cycle, dead-stat) live in
+ * flow_rules.cc.
  *
  * Rules are token-pattern checks, deliberately heuristic: they key
  * on *names* (a function called `tick` is a hot path; an identifier
@@ -119,7 +121,7 @@ class HotPathAllocRule : public Rule
         // layer (src/lint/model.hh) — lambdas and local classes
         // inherit the enclosing function's name, which is right for
         // hot-path purposes: their code runs where the function runs.
-        std::vector<std::string> fn = functionMap(f).nameAt;
+        std::vector<std::string> fn = enclosingFunctions(f);
         for (size_t i = 0; i < t.size(); ++i) {
             if (fn[i].empty() || !isHotFunction(fn[i]) ||
                 t[i].kind != TokKind::Identifier)
@@ -227,64 +229,6 @@ class NondeterminismRule : public Rule
     }
 };
 
-// ------------------------------------------------ stat-name-style
-
-class StatNameStyleRule : public Rule
-{
-  public:
-    StatNameStyleRule()
-        : Rule("stat-name-style",
-               "stat names at Registry registration sites "
-               "(.counter/.gauge/.gaugeInt/.histogram) are "
-               "lower_snake_case per src/stats/DESIGN.md",
-               Severity::Error)
-    {}
-
-    void
-    check(const SourceFile &f, std::vector<Finding> &out) const override
-    {
-        const auto &t = f.tokens;
-        for (size_t i = 0; i + 2 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                !anyOf(t[i].text,
-                       {"counter", "gauge", "gaugeInt", "histogram"}))
-                continue;
-            const Token &prev = at(t, i ? i - 1 : t.size());
-            if (!(isPunct(prev, ".") || isPunct(prev, "->")))
-                continue;
-            if (!isPunct(t[i + 1], "(") ||
-                t[i + 2].kind != TokKind::String)
-                continue;
-            const std::string &name = t[i + 2].text;
-            if (!snakeCase(name)) {
-                report(out, f, t[i + 2].line,
-                       "stat name \"" + name +
-                           "\" is not lower_snake_case "
-                           "([a-z][a-z0-9_]*, no trailing or "
-                           "double underscore)");
-            }
-        }
-    }
-
-  private:
-    static bool
-    snakeCase(const std::string &s)
-    {
-        if (s.empty() || !std::islower(static_cast<unsigned char>(s[0])))
-            return false;
-        char last = 0;
-        for (char c : s) {
-            bool ok = std::islower(static_cast<unsigned char>(c)) ||
-                      std::isdigit(static_cast<unsigned char>(c)) ||
-                      c == '_';
-            if (!ok || (c == '_' && last == '_'))
-                return false;
-            last = c;
-        }
-        return s.back() != '_';
-    }
-};
-
 // ---------------------------------------------- raw-serialization
 
 class RawSerializationRule : public Rule
@@ -302,9 +246,9 @@ class RawSerializationRule : public Rule
     appliesTo(const SourceFile &f) const override
     {
         // bench/ and examples/ are out of scope: only the portable
-        // rules (nondeterminism, header-hygiene, stat-name-style)
-        // extend there — demo code writing a scratch file is not a
-        // format-ownership violation. src/obs/audit.cc is the third
+        // rules (nondeterminism, header-hygiene) extend there — demo
+        // code writing a scratch file is not a format-ownership
+        // violation. src/obs/audit.cc is the third
         // format owner: it carries the KILOAUD magic/version/checksum
         // container end to end (src/obs/audit.hh).
         return !pathInDir(f.path, "src/ckpt") &&
@@ -414,7 +358,6 @@ RuleRegistry::builtin()
     RuleRegistry reg;
     reg.add(std::make_unique<HotPathAllocRule>());
     reg.add(std::make_unique<NondeterminismRule>());
-    reg.add(std::make_unique<StatNameStyleRule>());
     reg.add(std::make_unique<RawSerializationRule>());
     reg.add(std::make_unique<HeaderHygieneRule>());
     reg.add(std::make_unique<UnusedSuppressionRule>());

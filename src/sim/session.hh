@@ -151,7 +151,8 @@ class Session
 
     /**
      * Collect the RunResult. Steals the interval samples; the Session
-     * remains inspectable but should not be advanced further.
+     * remains inspectable. Once the run is finished(), a later step()
+     * or runFor() commits nothing and returns 0.
      */
     RunResult finish();
 

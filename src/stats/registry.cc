@@ -35,9 +35,32 @@ Snapshot::value(std::string_view name) const
     return e ? e->value.asDouble() : 0.0;
 }
 
+namespace
+{
+
+/** The naming scheme of src/stats/DESIGN.md: [a-z][a-z0-9_]*, with
+ *  no "__" run and no trailing '_'. */
+bool
+snakeCase(const std::string &s)
+{
+    if (s.empty() || s[0] < 'a' || s[0] > 'z' || s.back() == '_' ||
+        s.find("__") != std::string::npos)
+        return false;
+    for (char c : s)
+        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+              c == '_'))
+            return false;
+    return true;
+}
+
+} // anonymous namespace
+
 void
 Registry::add(Def def)
 {
+    KILO_ASSERT(snakeCase(def.name),
+                "stat name '%s' is not lower_snake_case",
+                def.name.c_str());
     for (const auto &existing : defs_) {
         if (existing.name == def.name) {
             KILO_PANIC("stat '%s' registered twice "

@@ -29,8 +29,11 @@
  * emitted in registration order; see src/stats/DESIGN.md for the
  * naming scheme and the schema stability policy.
  *
- * Duplicate names panic: two components claiming one name is a
- * simulator bug, never a runtime condition.
+ * Duplicate names and names outside the naming scheme panic: two
+ * components claiming one name, or a key the JSONL schema cannot
+ * carry, is a simulator bug, never a runtime condition. Every core
+ * registers its stats at construction, so the stats-schema golden
+ * ctest exercises every shipped name on every machine kind.
  */
 
 #pragma once

@@ -220,6 +220,46 @@ TEST(Checkpoint, MismatchedMemoryConfigRejected)
     EXPECT_NO_THROW(same.restore(snap));
 }
 
+/** Same for a window too small for the image: a shorter ROB, a
+ *  shallower checkpoint stack or a smaller LLIB under the same
+ *  machine name throws instead of aborting. */
+TEST(Checkpoint, MismatchedWindowConfigRejected)
+{
+    RunConfig rc = shortRun();
+    Session ooo(MachineConfig::r10_64(), "mcf",
+                mem::MemConfig::mem400(), rc);
+    ooo.warmup();
+    ooo.step(5000);
+    ckpt::Checkpoint ooo_snap = ooo.checkpoint();
+    MachineConfig short_rob = MachineConfig::r10_64();
+    short_rob.cp.robSize = 16;
+    Session small_rob(short_rob, "mcf", mem::MemConfig::mem400(), rc);
+    EXPECT_THROW(small_rob.restore(ooo_snap), ckpt::CheckpointError);
+
+    // The default warm-up leaves two checkpoints in flight here.
+    rc = RunConfig();
+    Session dkip(MachineConfig::dkip2048(), "mcf",
+                 mem::MemConfig::mem400(), rc);
+    dkip.warmup();
+    dkip.step(3000);
+    ckpt::Checkpoint dkip_snap = dkip.checkpoint();
+    MachineConfig one_ckpt = MachineConfig::dkip2048();
+    one_ckpt.dkip.checkpointCapacity = 1;
+    MachineConfig small_llib = MachineConfig::dkip2048();
+    small_llib.dkip.llibCapacity = 8;
+    for (const MachineConfig &mc : {one_ckpt, small_llib}) {
+        Session dst(mc, "mcf", mem::MemConfig::mem400(), rc);
+        EXPECT_THROW(dst.restore(dkip_snap), ckpt::CheckpointError)
+            << "checkpointCapacity " << mc.dkip.checkpointCapacity
+            << " llibCapacity " << mc.dkip.llibCapacity;
+    }
+
+    // The matching configuration still restores.
+    Session same(MachineConfig::dkip2048(), "mcf",
+                 mem::MemConfig::mem400(), rc);
+    EXPECT_NO_THROW(same.restore(dkip_snap));
+}
+
 /** Trailing garbage after the core state is rejected, not ignored. */
 TEST(Checkpoint, TrailingBytesRejected)
 {

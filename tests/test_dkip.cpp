@@ -162,7 +162,7 @@ TEST(Llib, CheckpointRoundTripKeepsOrderAndCapacity)
     EXPECT_EQ(r.popFront(), c);
 }
 
-TEST(LlibDeath, RestoreBeyondCapacityPanics)
+TEST(Llib, RestoreBeyondCapacityThrows)
 {
     // The checkpoint is input from outside the program: a blob taken
     // from a larger LLIB must not restore into a smaller one.
@@ -176,7 +176,7 @@ TEST(LlibDeath, RestoreBeyondCapacityPanics)
 
     Llib small("test", 2, ar.arena);
     ckpt::Source src(s.data());
-    EXPECT_DEATH(small.load(src), "exceeds capacity");
+    EXPECT_THROW(small.load(src), ckpt::CheckpointError);
 }
 
 TEST(Llib, HeadBlockedOnAddressProcessorLoad)

@@ -4,8 +4,7 @@
  * fixed micro-op vector, plus tiny builders for common scenarios.
  */
 
-#ifndef KILO_TESTS_TEST_HELPERS_HH
-#define KILO_TESTS_TEST_HELPERS_HH
+#pragma once
 
 #include <string>
 #include <vector>
@@ -69,5 +68,3 @@ independentOps(int n)
 }
 
 } // namespace kilo::test
-
-#endif // KILO_TESTS_TEST_HELPERS_HH

@@ -2,17 +2,18 @@
  * @file
  * Tests of the kilolint static-analysis pass: per-rule good/bad
  * fixtures and suppression semantics on in-memory buffers, the
- * semantic tier (layering, include cycles, dead stats, schema sync,
- * phase order) over multi-file fixtures, the report formats, and —
- * the point of the whole exercise — a self-scan asserting the live
- * source tree under KILO_SOURCE_DIR lints clean against its own
- * layer spec and schema golden. Every fixture runs through the one
- * Analysis pipeline the CLI uses.
+ * semantic tier (layering, include cycles, dead stats) over
+ * multi-file fixtures, the report format, and — the point of the
+ * whole exercise — a self-scan asserting the live source tree under
+ * KILO_SOURCE_DIR, tests included, lints clean against its own layer
+ * spec. Every fixture runs through the one Analysis pipeline the CLI
+ * uses.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,17 +31,13 @@ namespace
 LintReport
 analyzeTexts(
     const std::vector<std::pair<std::string, std::string>> &files,
-    const std::string &layersText = "",
-    const std::string &schemaText = "")
+    const std::string &layersText = "")
 {
     RuleRegistry rules = RuleRegistry::builtin();
-    AnalysisOptions opts;
+    LayerSpec layers;
     if (!layersText.empty())
-        opts.layers = LayerSpec::parse("layers", layersText);
-    if (!schemaText.empty())
-        opts.schema =
-            SchemaGolden::parse("schema.golden", schemaText);
-    Analysis analysis(rules, std::move(opts));
+        layers = LayerSpec::parse("layers", layersText);
+    Analysis analysis(rules, std::move(layers));
     for (const auto &[path, content] : files)
         analysis.addSource(path, content);
     return analysis.run();
@@ -85,12 +82,10 @@ TEST(LintRegistry, BuiltinCatalogIsCompleteAndEnumerable)
             << r->name() << " has no description";
     }
     std::vector<std::string> expect = {
-        "hot-path-alloc",    "nondeterminism",
-        "stat-name-style",   "raw-serialization",
-        "header-hygiene",    "unused-suppression",
-        "layering",          "include-cycle",
-        "dead-stat",         "schema-sync",
-        "phase-order",
+        "hot-path-alloc",     "nondeterminism",
+        "raw-serialization",  "header-hygiene",
+        "unused-suppression", "layering",
+        "include-cycle",      "dead-stat",
     };
     EXPECT_EQ(names, expect);
 }
@@ -220,34 +215,6 @@ TEST(LintNondeterminism, SeededProjectRngIsFine)
     EXPECT_FALSE(hasRule(r, "nondeterminism"));
 }
 
-// ------------------------------------------------ stat-name-style
-
-TEST(LintStatNameStyle, FlagsNonSnakeCaseRegistration)
-{
-    LintReport r = lintText(
-        "src/core/foo.cc",
-        "void f(kilo::stats::Registry &reg) {\n"
-        "    reg.counter(\"CamelName\", \"desc\");\n"
-        "    reg.gauge(\"trailing_\", \"desc\");\n"
-        "    reg.histogram(\"has__double\", \"desc\", 4);\n"
-        "}\n");
-    auto names = ruleNames(r);
-    EXPECT_EQ(std::count(names.begin(), names.end(),
-                         "stat-name-style"),
-              3);
-}
-
-TEST(LintStatNameStyle, SnakeCaseIsClean)
-{
-    LintReport r = lintText(
-        "src/core/foo.cc",
-        "void f(kilo::stats::Registry &reg) {\n"
-        "    reg.counter(\"commit_insts\", \"desc\");\n"
-        "    reg.gaugeInt(\"l2_hit_rate_x1000\", \"desc\");\n"
-        "}\n");
-    EXPECT_FALSE(hasRule(r, "stat-name-style"));
-}
-
 // ---------------------------------------------- raw-serialization
 
 TEST(LintRawSerialization, FlagsFwriteOutsideSerializationLayers)
@@ -374,41 +341,6 @@ TEST(LintReportFormat, FindingLineMatchesContract)
               "wall clock read");
 }
 
-TEST(LintReportFormat, JsonHasSchemaKeysAndEscapes)
-{
-    LintReport r = lintText(
-        "src/sim/x.cc",
-        "auto t = std::chrono::steady_clock::now();\n");
-    std::string js = reportJson(r);
-    EXPECT_NE(js.find("\"files\":1"), std::string::npos) << js;
-    EXPECT_NE(js.find("\"suppressions\":{\"total\":0,\"used\":0}"),
-              std::string::npos)
-        << js;
-    EXPECT_NE(js.find("\"findings\":[{\"file\":\"src/sim/x.cc\""),
-              std::string::npos)
-        << js;
-    EXPECT_NE(js.find("\"line\":1"), std::string::npos) << js;
-    EXPECT_NE(js.find("\"rule\":\"nondeterminism\""),
-              std::string::npos)
-        << js;
-    EXPECT_NE(js.find("\"severity\":\"error\""), std::string::npos)
-        << js;
-}
-
-TEST(LintReportFormat, JsonEscapesQuotesAndBackslashes)
-{
-    LintReport r;
-    Finding f;
-    f.path = "a\"b\\c.cc";
-    f.line = 1;
-    f.rule = "x";
-    f.message = "tab\there";
-    r.findings.push_back(f);
-    std::string js = reportJson(r);
-    EXPECT_NE(js.find("a\\\"b\\\\c.cc"), std::string::npos) << js;
-    EXPECT_NE(js.find("tab\\there"), std::string::npos) << js;
-}
-
 // -------------------------------------------------- project model
 
 TEST(LintModel, NormalizePathAndModuleOf)
@@ -452,26 +384,6 @@ TEST(LintModel, LayerSpecCycleAndSyntaxAreErrors)
     LayerSpec bad = LayerSpec::parse("layers", "no colon here\n");
     ASSERT_FALSE(bad.errors.empty());
     EXPECT_EQ(bad.errors[0].line, 1);
-}
-
-TEST(LintModel, FunctionMapGivesDistinctBodyIds)
-{
-    // Two same-named bodies (the gtest TEST shape) must not merge:
-    // phase-order keys on the body id, not the name.
-    SourceFile f = lex("t.cc",
-                       "TEST(A, B) { int x = 1; }\n"
-                       "TEST(A, C) { int y = 2; }\n");
-    FunctionMap fm = functionMap(f);
-    int firstBody = -1, secondBody = -1;
-    for (size_t i = 0; i < f.tokens.size(); ++i) {
-        if (f.tokens[i].text == "x")
-            firstBody = fm.bodyAt[i];
-        if (f.tokens[i].text == "y")
-            secondBody = fm.bodyAt[i];
-    }
-    ASSERT_GE(firstBody, 0);
-    ASSERT_GE(secondBody, 0);
-    EXPECT_NE(firstBody, secondBody);
 }
 
 // ------------------------------------------------------- layering
@@ -638,75 +550,6 @@ TEST(LintDeadStat, GaugesAreExemptAndDeclInitIsNotAnUpdate)
               std::string::npos);
 }
 
-// ---------------------------------------------------- schema-sync
-
-TEST(LintSchemaSync, StaleSchemaKeyIsFlagged)
-{
-    LintReport r = analyzeTexts(
-        {{"src/core/st.cc",
-          "void regStats(Registry &r, St &st) {\n"
-          "    r.counter(\"hits\", \"d\", &st.hits);\n"
-          "}\n"
-          "void bump(St &st) { ++st.hits; }\n"}},
-        "", // no layer spec
-        "== M ==\n"
-        "hits counter - live\n"
-        "gone gauge - stale\n");
-    auto names = ruleNames(r);
-    EXPECT_EQ(std::count(names.begin(), names.end(), "schema-sync"),
-              1);
-    EXPECT_EQ(r.findings[0].path, "schema.golden");
-    EXPECT_EQ(r.findings[0].line, 3);
-    EXPECT_NE(r.findings[0].message.find("gone"),
-              std::string::npos);
-}
-
-// ---------------------------------------------------- phase-order
-
-TEST(LintPhaseOrder, StepAfterFinishIsFlagged)
-{
-    LintReport r = lintText("src/sim/drive.cc",
-                            "void drive(Session &s) {\n"
-                            "    s.runFor(1000);\n"
-                            "    RunResult res = s.finish();\n"
-                            "    s.step(10);\n"
-                            "}\n");
-    ASSERT_TRUE(hasRule(r, "phase-order"));
-    EXPECT_EQ(r.findings[0].line, 4);
-}
-
-TEST(LintPhaseOrder, NormalLifecycleIsClean)
-{
-    LintReport r = lintText("src/sim/drive.cc",
-                            "void drive(Session &s) {\n"
-                            "    s.warmup();\n"
-                            "    s.step(10);\n"
-                            "    s.runFor(1000);\n"
-                            "    RunResult res = s.finish();\n"
-                            "}\n");
-    EXPECT_FALSE(hasRule(r, "phase-order"));
-}
-
-TEST(LintPhaseOrder, SeparateBodiesDoNotLeakState)
-{
-    // The gtest shape: every TEST body parses as a function named
-    // TEST. finish() in one body must not taint step() in the next.
-    LintReport r = lintText("tests/t.cpp",
-                            "TEST(A, B) { s.finish(); }\n"
-                            "TEST(A, C) { s.step(5); }\n");
-    EXPECT_FALSE(hasRule(r, "phase-order"));
-}
-
-TEST(LintPhaseOrder, DifferentReceiversAreIndependent)
-{
-    LintReport r = lintText("src/sim/drive.cc",
-                            "void drive(Session &a, Session &b) {\n"
-                            "    a.finish();\n"
-                            "    b.step(10);\n"
-                            "}\n");
-    EXPECT_FALSE(hasRule(r, "phase-order"));
-}
-
 // ------------------------------------------------------ self-scan
 
 #ifdef KILO_SOURCE_DIR
@@ -729,20 +572,28 @@ TEST(LintSelfScan, LiveTreeLintsClean)
 {
     std::string root(KILO_SOURCE_DIR);
     RuleRegistry reg = RuleRegistry::builtin();
-    AnalysisOptions opts;
-    opts.layers = LayerSpec::parse(root + "/src/lint/layers",
-                                   readAll(root + "/src/lint/layers"));
-    opts.schema = SchemaGolden::parse(
-        root + "/tools/stats_schema.golden",
-        readAll(root + "/tools/stats_schema.golden"));
-    ASSERT_TRUE(opts.layers.errors.empty());
-    ASSERT_FALSE(opts.schema.keys.empty());
+    LayerSpec layers = LayerSpec::parse(
+        root + "/src/lint/layers", readAll(root + "/src/lint/layers"));
+    ASSERT_TRUE(layers.errors.empty());
 
-    Analysis analysis(reg, std::move(opts));
+    Analysis analysis(reg, std::move(layers));
     analysis.addPath(root + "/src");
     analysis.addPath(root + "/tools");
     analysis.addPath(root + "/bench");
     analysis.addPath(root + "/examples");
+    // tests/*.cpp and tests/*.hh, but not the deliberately bad
+    // fixtures under tests/data/.
+    std::vector<std::filesystem::path> tests;
+    for (const auto &e :
+         std::filesystem::directory_iterator(root + "/tests")) {
+        std::string ext = e.path().extension().string();
+        if (e.is_regular_file() && (ext == ".cpp" || ext == ".hh"))
+            tests.push_back(e.path());
+    }
+    std::sort(tests.begin(), tests.end());
+    ASSERT_FALSE(tests.empty());
+    for (const auto &p : tests)
+        analysis.addPath(p.string());
     LintReport report = analysis.run();
 
     std::string all;
@@ -768,10 +619,9 @@ TEST(LintSelfScan, SeededLayeringFixtureFails)
     // kilolint binary.
     std::string root(KILO_SOURCE_DIR);
     RuleRegistry reg = RuleRegistry::builtin();
-    AnalysisOptions opts;
-    opts.layers = LayerSpec::parse(root + "/src/lint/layers",
-                                   readAll(root + "/src/lint/layers"));
-    Analysis analysis(reg, std::move(opts));
+    Analysis analysis(
+        reg, LayerSpec::parse(root + "/src/lint/layers",
+                              readAll(root + "/src/lint/layers")));
     analysis.addPath(root + "/tests/data/lint/bad_layering");
     LintReport report = analysis.run();
     ASSERT_TRUE(hasRule(report, "layering"));

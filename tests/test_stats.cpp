@@ -80,6 +80,19 @@ TEST(RegistryDeathTest, DuplicateNamePanics)
                  "registered twice");
 }
 
+TEST(RegistryDeathTest, NonSnakeCaseNamePanics)
+{
+    // The naming scheme (src/stats/DESIGN.md) is checked where every
+    // name is registered, computed names included.
+    Registry reg;
+    uint64_t a = 0;
+    EXPECT_DEATH(reg.counter("commitInsts", "camelCase", &a),
+                 "not lower_snake_case");
+    EXPECT_DEATH(reg.gauge("ipc_", "trailing underscore",
+                           [] { return 0.0; }),
+                 "not lower_snake_case");
+}
+
 TEST(Registry, ResetZeroesCountersAndPreservesHistogramConfig)
 {
     Registry reg;

@@ -5,17 +5,12 @@
  *     kilolint [options] <file-or-dir>...
  *
  *     --list                 print the rule catalog and exit
- *     --json                 emit the machine-readable report on
- *                            stdout instead of file:line text
  *     --max-suppressions N   fail (exit 3) when the tree carries
  *                            more than N allow() annotations, even
  *                            if every one of them fires — the CI
  *                            cap that keeps exemptions scarce
  *     --layers FILE          module-layer DAG spec (src/lint/layers);
  *                            activates the layering rule
- *     --schema FILE          stats schema golden
- *                            (tools/stats_schema.golden); activates
- *                            schema-sync
  *
  * Exit codes: 0 clean, 1 findings, 2 usage/IO error,
  * 3 suppression cap exceeded.
@@ -41,9 +36,8 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: kilolint [--list] [--json] [--max-suppressions N]\n"
-        "                [--layers FILE] [--schema FILE]\n"
-        "                <file-or-dir>...\n");
+        "usage: kilolint [--list] [--max-suppressions N]\n"
+        "                [--layers FILE] <file-or-dir>...\n");
     return 2;
 }
 
@@ -64,24 +58,15 @@ readFile(const std::string &path, std::string &out)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
     bool list = false;
     long maxSuppressions = -1;
     std::vector<std::string> paths;
-    std::string layersPath, schemaPath;
+    std::string layersPath;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto value = [&](std::string &into) {
-            if (++i >= argc)
-                return false;
-            into = argv[i];
-            return true;
-        };
         if (arg == "--list") {
             list = true;
-        } else if (arg == "--json") {
-            json = true;
         } else if (arg == "--max-suppressions") {
             if (++i >= argc)
                 return usage();
@@ -90,11 +75,9 @@ main(int argc, char **argv)
             if (!end || *end || maxSuppressions < 0)
                 return usage();
         } else if (arg == "--layers") {
-            if (!value(layersPath))
+            if (++i >= argc)
                 return usage();
-        } else if (arg == "--schema") {
-            if (!value(schemaPath))
-                return usage();
+            layersPath = argv[i];
         } else if (arg.rfind("--", 0) == 0) {
             return usage();
         } else {
@@ -115,7 +98,7 @@ main(int argc, char **argv)
     if (paths.empty())
         return usage();
 
-    AnalysisOptions opts;
+    LayerSpec layers;
     if (!layersPath.empty()) {
         std::string text;
         if (!readFile(layersPath, text)) {
@@ -124,20 +107,10 @@ main(int argc, char **argv)
                          layersPath.c_str());
             return 2;
         }
-        opts.layers = LayerSpec::parse(layersPath, text);
-    }
-    if (!schemaPath.empty()) {
-        std::string text;
-        if (!readFile(schemaPath, text)) {
-            std::fprintf(stderr,
-                         "kilolint: cannot read schema golden %s\n",
-                         schemaPath.c_str());
-            return 2;
-        }
-        opts.schema = SchemaGolden::parse(schemaPath, text);
+        layers = LayerSpec::parse(layersPath, text);
     }
 
-    Analysis analysis(all, std::move(opts));
+    Analysis analysis(all, std::move(layers));
     LintReport report;
     try {
         for (const auto &p : paths)
@@ -148,18 +121,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (json) {
-        std::printf("%s\n", reportJson(report).c_str());
-    } else {
-        for (const auto &f : report.findings)
-            std::printf("%s\n", findingLine(f).c_str());
-        std::fprintf(stderr,
-                     "kilolint: %d file(s), %zu finding(s), "
-                     "%d/%d suppression(s) used\n",
-                     report.filesScanned, report.findings.size(),
-                     report.suppressionsUsed,
-                     report.suppressionsTotal);
-    }
+    for (const auto &f : report.findings)
+        std::printf("%s\n", findingLine(f).c_str());
+    std::fprintf(stderr,
+                 "kilolint: %d file(s), %zu finding(s), "
+                 "%d/%d suppression(s) used\n",
+                 report.filesScanned, report.findings.size(),
+                 report.suppressionsUsed, report.suppressionsTotal);
 
     if (maxSuppressions >= 0 &&
         report.suppressionsTotal > maxSuppressions) {

@@ -13,13 +13,13 @@
  * chrome://tracing and Perfetto). PATH may be "-" for stdout.
  *
  * Defaults (dkip / mcf / mem-400, no warm-up, 1000 measured ops)
- * are deliberately small and fully deterministic: CI regenerates the
- * Konata export every build and diffs it against the checked-in
- * golden (tests/data/pipeview_1k.golden), so any timing drift in the
- * pipeline shows up as a readable per-instruction diff. The capture
- * starts cold (the timeline must attach before anything is fetched,
- * or a kilo-deep window truncates every early lifecycle); pass
- * --warmup to view steady-state behaviour instead.
+ * are deliberately small and fully deterministic: the golden_pipeview
+ * ctest regenerates the Konata export and diffs it against the
+ * checked-in golden (tests/data/pipeview_1k.golden), so any timing
+ * drift in the pipeline shows up as a readable per-instruction diff.
+ * The capture starts cold (the timeline must attach before anything
+ * is fetched, or a kilo-deep window truncates every early
+ * lifecycle); pass --warmup to view steady-state behaviour instead.
  *
  * --profile prints the run's wall-time self-profile (warmup /
  * measure / finish phases) to stderr.

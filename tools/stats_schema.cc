@@ -8,11 +8,12 @@
  *                               share it by construction)
  *
  * The full dump is checked in as tools/stats_schema.golden and diffed
- * in CI: renaming a stat, changing its row membership or reordering
- * registrations — anything that would silently move the JSONL schema
- * — fails the build the same way the golden trace catches timing
- * drift. Update the golden file deliberately, in the same commit as
- * the change it blesses (see src/stats/DESIGN.md).
+ * by the golden_stats_schema ctest: renaming a stat, changing its row
+ * membership or reordering registrations — anything that would
+ * silently move the JSONL schema — fails the build the same way the
+ * golden trace catches timing drift. Update the golden file
+ * deliberately, in the same commit as the change it blesses (see
+ * src/stats/DESIGN.md).
  */
 
 #include <cstdio>
