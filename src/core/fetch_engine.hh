@@ -70,8 +70,8 @@ class FetchEngine
     /**
      * Test-only determinism-audit hook: XOR @p mask into the global
      * history, seeding a single deliberate divergence that the
-     * KILOAUD plane must localize (CI kilodiff smoke). Never called
-     * outside RunConfig::auditFlipCycle plumbing.
+     * KILOAUD plane must localize (the golden_kilodiff ctest). Never
+     * called outside PipelineBase::setDebugFlip plumbing.
      */
     void debugFlipHistory(uint64_t mask) { ghr ^= mask; }
 

@@ -144,9 +144,10 @@ class PipelineBase
      * @p mask into the fetch global history, exactly once (an armed
      * flip is an idle-skip deadline, so that is @p cycle). Cycle 0
      * disarms. Only the fired/not-fired latch is checkpointed — the
-     * arming itself is re-applied by the restoring Session, so a
-     * flipped run and a clean run have identical state digests until
-     * the flip actually executes (pinned by tests/test_audit.cpp).
+     * arming itself is re-applied to every Session the audit
+     * bisector builds (obs_audit::RunSpec::flipCycle), so a flipped
+     * run and a clean run have identical state digests until the
+     * flip actually executes (pinned by tests/test_audit.cpp).
      */
     void
     setDebugFlip(uint64_t cycle, uint64_t mask)

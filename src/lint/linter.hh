@@ -166,9 +166,9 @@ struct LintReport
 /**
  * The two-tier pipeline: collect every file first, build one
  * ProjectModel, then run each rule's per-file check() plus its
- * cross-TU checkModel() hook, and apply suppressions last — so a
- * `// kilolint: allow(layering)` on an #include line covers a
- * model finding exactly like a per-file one.
+ * cross-TU checkModel() hook, and apply suppressions last — so an
+ * allow() annotation naming a model rule covers that rule's finding
+ * exactly like a per-file one.
  */
 class Analysis
 {

@@ -24,9 +24,12 @@ makeSession(const RunSpec &spec)
     if (!spec.rc.auditIntervalInsts)
         throw obs::AuditError("bisection needs an auditing run "
                               "(RunConfig::auditIntervalInsts == 0)");
-    return std::make_unique<sim::Session>(
+    auto s = std::make_unique<sim::Session>(
         sim::MachineConfig::byName(spec.machine), spec.workload,
         mem::MemConfig::byName(spec.mem), spec.rc);
+    if (spec.flipCycle)
+        s->core().setDebugFlip(spec.flipCycle, spec.flipMask);
+    return s;
 }
 
 /** Advance @p s to the first pause at or past absolute cycle @p x. */

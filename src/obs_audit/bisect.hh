@@ -49,6 +49,18 @@ struct RunSpec
     std::string workload;  ///< preset or "trace:<path>"
     std::string mem;       ///< mem::MemConfig::byName
     sim::RunConfig rc;     ///< must carry auditIntervalInsts != 0
+
+    /**
+     * Test-only divergence seed: when non-zero, XOR flipMask into
+     * the fetch global history at the first simulated cycle >=
+     * flipCycle (warm-up included), through
+     * core::PipelineBase::setDebugFlip. Lets kilodiff and the audit
+     * tests plant a known single-bit fault and check that the audit
+     * plane localizes it. @{
+     */
+    uint64_t flipCycle = 0;
+    uint64_t flipMask = 1;
+    /** @} */
 };
 
 /** Run @p spec to completion and return its live KILOAUD stream. */

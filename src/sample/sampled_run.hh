@@ -24,9 +24,9 @@
  * matrices shard exactly like exact ones (KILOSHARD manifests carry
  * the sampling directives; see src/shard/).
  *
- * Entry points: SamplingMode::Sampled in RunConfig routes
- * Simulator::run (and every SweepEngine matrix) here; call
- * runSampled() directly to also get the clustering and error bars.
+ * Entry point: runSampled(). sim::Simulator::run and SweepEngine stay
+ * exact; a sharded sweep reaches this file through
+ * shard::Manifest::runJob when its manifest says `sampling sampled`.
  */
 
 #pragma once
@@ -76,8 +76,7 @@ struct SampledResult
  * Run (machine, workload, memory) sampled. @p run_config supplies
  * the region sizes (warmupInsts / measureInsts), the interval length
  * (intervalInsts; 0 = measureInsts / 50), and the cluster count
- * (numClusters); samplingMode itself is ignored here — calling this
- * function IS the opt-in. The workload-name overload resolves names
+ * (numClusters). The workload-name overload resolves names
  * exactly like Session (presets or "trace:<path>", via
  * sim::openWorkload).
  *

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/sample/sampled_run.hh"
+
 namespace kilo::shard
 {
 
@@ -84,7 +86,7 @@ Manifest::parse(std::istream &in, const std::string &where)
     size_t line_no = 0;
     bool saw_magic = false;
     bool saw_warmup = false, saw_measure = false;
-    bool saw_max_cycles = false, saw_max_wall = false;
+    bool saw_max_cycles = false;
     bool saw_interval = false, saw_clusters = false;
     bool saw_sampling = false;
     bool saw_audit = false;
@@ -151,8 +153,12 @@ Manifest::parse(std::istream &in, const std::string &where)
             scalar_once(saw_max_cycles);
             m.run.maxCycles = parseU64(where, line_no, key, value);
         } else if (key == "max_wall_ms") {
-            scalar_once(saw_max_wall);
-            m.run.maxWallMs = parseU64(where, line_no, key, value);
+            // Removed, not ignored: a host-time deadline made a row
+            // depend on host speed.
+            fail(where, line_no,
+                 "'max_wall_ms' is no longer supported: bound a job "
+                 "with 'max_cycles' (deterministic per-job guard) or "
+                 "the orchestrator's --deadline-ms (host-time guard)");
         } else if (key == "interval") {
             scalar_once(saw_interval);
             m.run.intervalInsts =
@@ -167,9 +173,9 @@ Manifest::parse(std::istream &in, const std::string &where)
         } else if (key == "sampling") {
             scalar_once(saw_sampling);
             if (value == "off") {
-                m.run.samplingMode = sim::SamplingMode::Off;
+                m.sampled = false;
             } else if (value == "sampled") {
-                m.run.samplingMode = sim::SamplingMode::Sampled;
+                m.sampled = true;
             } else {
                 fail(where, line_no,
                      "sampling must be 'off' or 'sampled', got '" +
@@ -232,14 +238,13 @@ Manifest::serialize() const
     os << "warmup " << run.warmupInsts << "\n";
     os << "measure " << run.measureInsts << "\n";
     os << "max_cycles " << run.maxCycles << "\n";
-    os << "max_wall_ms " << run.maxWallMs << "\n";
     // Sampling directives appear only when they deviate from the
     // defaults, so pre-sampling manifests round-trip byte-identically.
     if (run.intervalInsts)
         os << "interval " << run.intervalInsts << "\n";
     if (run.numClusters != sim::RunConfig().numClusters)
         os << "clusters " << run.numClusters << "\n";
-    if (run.samplingMode == sim::SamplingMode::Sampled)
+    if (sampled)
         os << "sampling sampled\n";
     if (run.auditIntervalInsts)
         os << "audit " << run.auditIntervalInsts << "\n";
@@ -264,6 +269,17 @@ Manifest::jobs() const
 {
     return sim::SweepEngine::matrixByName(machines, workloads, mems,
                                           run);
+}
+
+sim::RunResult
+Manifest::runJob(const sim::SweepJob &job) const
+{
+    if (sampled)
+        return sample::runSampled(job.machine, job.workload, job.mem,
+                                  job.run)
+            .result;
+    return sim::Simulator::run(job.machine, job.workload, job.mem,
+                               job.run);
 }
 
 } // namespace kilo::shard

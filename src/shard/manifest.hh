@@ -18,16 +18,15 @@
  *     warmup 20000
  *     measure 100000
  *     max_cycles 0
- *     max_wall_ms 0
  *     shard 0/4
  *
  * Optional sampling directives (`interval N`, `clusters K`,
  * `sampling sampled`) make every job of the matrix a sampled run
- * (src/sample/); an optional `audit N` directive sets the
- * determinism-audit cadence (RunConfig::auditIntervalInsts) of every
- * job. All of them are emitted by serialize() only when they deviate
- * from the RunConfig defaults, so older manifests round-trip
- * unchanged.
+ * (src/sample/, dispatched by runJob()); an optional `audit N`
+ * directive sets the determinism-audit cadence
+ * (RunConfig::auditIntervalInsts) of every job. All of them are
+ * emitted by serialize() only when they deviate from the defaults,
+ * so older manifests round-trip unchanged.
  *
  * Every worker process of a sharded sweep loads the same manifest
  * (the shard line is overridable on the worker command line), expands
@@ -35,11 +34,12 @@
  * its slice through SweepEngine::shardIndices — so the partitioning
  * is a pure function of the manifest and never needs coordination.
  *
- * Malformed input (bad magic, future version, unknown directive,
- * duplicate scalar, unparseable number, impossible shard spec, empty
- * matrix) raises ShardError with a line-numbered message; resolving
- * *names* (machines, memories) is deferred to job expansion, where
- * the canonical byName registries report unknown presets.
+ * Malformed input (bad magic, future version, unknown or removed
+ * directive, duplicate scalar, unparseable number, impossible shard
+ * spec, empty matrix) raises ShardError with a line-numbered
+ * message; resolving *names* (machines, memories) is deferred to job
+ * expansion, where the canonical byName registries report unknown
+ * presets.
  */
 
 #pragma once
@@ -76,9 +76,13 @@ struct Manifest
     std::vector<std::string> mems;
     /** @} */
 
-    /** Per-job run scalars (warmup/measure/max_cycles/max_wall_ms
-     *  plus the optional interval/clusters/sampling directives). */
+    /** Per-job run scalars (warmup/measure/max_cycles plus the
+     *  optional interval/clusters/audit directives). */
     sim::RunConfig run;
+
+    /** `sampling sampled`: every job is a sample::runSampled
+     *  estimate instead of an exact Simulator::run. */
+    bool sampled = false;
 
     /** Which slice this manifest describes; 0/1 = the whole matrix. @{ */
     uint32_t shardIndex = 0;
@@ -101,6 +105,10 @@ struct Manifest
      *  exits with a diagnostic on an unknown preset name. */
     std::vector<sim::SweepJob> jobs() const;
 
+    /** Run one job of this manifest: sample::runSampled when
+     *  `sampled`, else the exact Simulator::run. */
+    sim::RunResult runJob(const sim::SweepJob &job) const;
+
     /** Size of the full matrix. */
     size_t jobCount() const
     {
@@ -122,10 +130,9 @@ struct Manifest
                run.warmupInsts == o.run.warmupInsts &&
                run.measureInsts == o.run.measureInsts &&
                run.maxCycles == o.run.maxCycles &&
-               run.maxWallMs == o.run.maxWallMs &&
                run.intervalInsts == o.run.intervalInsts &&
                run.numClusters == o.run.numClusters &&
-               run.samplingMode == o.run.samplingMode &&
+               sampled == o.sampled &&
                run.auditIntervalInsts ==
                    o.run.auditIntervalInsts &&
                shardIndex == o.shardIndex &&

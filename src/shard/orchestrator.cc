@@ -197,23 +197,17 @@ spawnAttempt(ShardState &s, const OrchestratorConfig &cfg,
     if (pid == 0) {
         // Child: stdout and stderr each go to a pipe; the parent
         // parses heartbeats out of stderr and forwards the rest.
-        // Process-level sharding replaces thread fan-out, so workers
-        // default to one sweep thread.
         ::dup2(fds[1], STDOUT_FILENO);
         ::dup2(err_fds[1], STDERR_FILENO);
         ::close(fds[0]);
         ::close(fds[1]);
         ::close(err_fds[0]);
         ::close(err_fds[1]);
-        if (cfg.workerThreads) {
-            ::setenv("KILO_SWEEP_THREADS",
-                     std::to_string(cfg.workerThreads).c_str(), 1);
-        }
         std::vector<std::string> args;
         args.push_back(cfg.workerPath);
         for (const auto &a : cfg.workerArgs)
             args.push_back(a);
-        if (cfg.heartbeat || cfg.progress)
+        if (cfg.progress)
             args.push_back("--heartbeat");
         if (cfg.audit)
             args.push_back("--audit");

@@ -22,16 +22,16 @@
  *    workers are killed and run() throws ShardError carrying the
  *    last attempt's stderr tail.
  *
- * Worker stderr is piped to the parent. KILOHB heartbeat lines
- * (src/obs/heartbeat.hh, emitted by workers spawned with
- * --heartbeat) are absorbed into per-shard telemetry — and, with
- * OrchestratorConfig::progress, rendered as a merged live progress
- * stream on the parent's stderr; every other stderr line is
- * forwarded through verbatim and its tail kept for failure reports.
+ * Worker stderr is piped to the parent. With
+ * OrchestratorConfig::progress, workers are spawned with --heartbeat;
+ * their KILOHB lines (src/obs/heartbeat.hh) are absorbed into
+ * per-shard telemetry and rendered as a merged live progress stream
+ * on the parent's stderr. Every other stderr line is forwarded
+ * through verbatim and its tail kept for failure reports.
  *
- * Workers default to one sweep thread each (process-level sharding
- * replaces thread-level fan-out); all workers replaying a common
- * trace share its pages through the mmap reader and the page cache.
+ * Each worker runs its jobs one at a time (process-level sharding is
+ * the only fan-out); all workers replaying a common trace share its
+ * pages through the mmap reader and the page cache.
  */
 
 #pragma once
@@ -65,16 +65,9 @@ struct OrchestratorConfig
     /** Total spawn attempts per shard (1 = no retry). */
     uint32_t maxAttempts = 2;
 
-    /** KILO_SWEEP_THREADS exported to workers; 0 inherits the
-     *  parent's environment unchanged. */
-    unsigned workerThreads = 1;
-
-    /** Spawn workers with --heartbeat and collect their KILOHB
-     *  telemetry (implied by progress). */
-    bool heartbeat = false;
-
-    /** Render worker heartbeats as a merged live progress stream on
-     *  the parent's stderr. */
+    /** Spawn workers with --heartbeat and render their KILOHB
+     *  telemetry as a merged live progress stream on the parent's
+     *  stderr. */
     bool progress = false;
 
     /**

@@ -11,14 +11,6 @@ namespace
 
 constexpr const char TracePrefix[] = "trace:";
 
-/**
- * Cycle quantum between host-clock checks when RunConfig::maxWallMs
- * is armed: coarse enough that the clock read never shows up in
- * profiles, fine enough (a millisecond or two of simulation) that a
- * deadline is honoured promptly.
- */
-constexpr uint64_t WallCheckCycles = 1 << 16;
-
 } // anonymous namespace
 
 wload::WorkloadPtr
@@ -59,44 +51,27 @@ Session::Session(const MachineConfig &machine, wload::WorkloadPtr own,
     // instruction SimPoint run would.
     for (const auto &region : wl->regions())
         core_->memory().prewarm(region.base, region.bytes);
-    if (rc.auditFlipCycle)
-        core_->setDebugFlip(rc.auditFlipCycle, rc.auditFlipMask);
 }
 
-bool
-Session::wallExpired() const
+void
+Session::requireRestored() const
 {
-    if (!rc.maxWallMs)
-        return false;
-    // kilolint: allow(nondeterminism) wall-deadline check
-    auto elapsed = std::chrono::steady_clock::now() - wallStart;
-    return elapsed >=
-           std::chrono::milliseconds(int64_t(rc.maxWallMs));
+    if (restoreIncomplete)
+        throw ckpt::CheckpointError(
+            "session state is half-restored after a failed restore(); "
+            "restore a valid checkpoint before using it");
 }
 
 void
 Session::warmup()
 {
+    requireRestored();
     if (warmedUp)
         return;
     obs::Profiler::Scope prof(profiler, "warmup");
     warmedUp = true;
     if (rc.warmupInsts) {
-        if (rc.maxWallMs) {
-            // Chunked so a pathological configuration cannot wedge a
-            // deadline-carrying job inside the warm-up region.
-            uint64_t target = core_->stats().committed +
-                              rc.warmupInsts;
-            while (core_->stats().committed < target &&
-                   !wallExpired()) {
-                core_->runUntil(target,
-                                core_->cycle() + WallCheckCycles);
-            }
-            if (core_->stats().committed < target)
-                aborted_ = true;
-        } else {
-            core_->run(rc.warmupInsts);
-        }
+        core_->run(rc.warmupInsts);
         core_->resetStats();
     }
     measureStartCycle = core_->cycle();
@@ -152,13 +127,7 @@ Session::advance(uint64_t target_committed, uint64_t cycle_cap)
             stop = nextIntervalAt;
         if (nextAuditAt && nextAuditAt < stop)
             stop = nextAuditAt;
-        uint64_t cap = cycle_cap;
-        if (rc.maxWallMs) {
-            uint64_t quantum_end = core_->cycle() + WallCheckCycles;
-            if (quantum_end < cap)
-                cap = quantum_end;
-        }
-        core_->runUntil(stop, cap);
+        core_->runUntil(stop, cycle_cap);
         if (nextIntervalAt &&
             core_->stats().committed >= nextIntervalAt) {
             recordInterval();
@@ -171,11 +140,6 @@ Session::advance(uint64_t target_committed, uint64_t cycle_cap)
                core_->stats().committed >= nextAuditAt) {
             recordAudit();
             nextAuditAt += rc.auditIntervalInsts;
-        }
-        if (wallExpired() &&
-            core_->stats().committed < rc.measureInsts) {
-            aborted_ = true;
-            break;
         }
     }
 
@@ -249,6 +213,7 @@ Session::serializePayload(ckpt::Sink &s) const
 ckpt::Checkpoint
 Session::checkpoint() const
 {
+    requireRestored();
     ckpt::Sink s;
     serializePayload(s);
     ckpt::Checkpoint c;
@@ -284,6 +249,9 @@ Session::recordAudit()
 void
 Session::restore(const ckpt::Checkpoint &c)
 {
+    // Set until the whole image has been applied: a component that
+    // throws midway leaves the state part restored, part fresh.
+    restoreIncomplete = true;
     ckpt::Source s(c.bytes);
     std::string machine = s.str();
     if (machine != machineName)
@@ -305,6 +273,7 @@ Session::restore(const ckpt::Checkpoint &c)
     if (!s.atEnd())
         throw ckpt::CheckpointError(
             "checkpoint has trailing bytes after the core state");
+    restoreIncomplete = false;
     intervals_.clear();
     // Like interval samples, already-recorded audit records are not
     // part of the image — but the rolling digest and the cursor are,
@@ -330,6 +299,7 @@ Session::loadCheckpoint(const std::string &path)
 RunResult
 Session::finish()
 {
+    requireRestored();
     obs::Profiler::Scope prof(profiler, "finish");
     RunResult res;
     res.machine = machineName;

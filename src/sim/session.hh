@@ -35,7 +35,6 @@
 
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,8 +93,8 @@ class Session
     /** Measured region complete — target reached or aborted. */
     bool finished() const;
 
-    /** A RunConfig::maxCycles or maxWallMs deadline expired before
-     *  the measured region completed. */
+    /** The RunConfig::maxCycles deadline expired before the
+     *  measured region completed. */
     bool aborted() const { return aborted_; }
 
     /** Cycles of the measured region so far (0 before warmup()). */
@@ -166,7 +165,11 @@ class Session
      * the same stats row as running straight through (pinned by
      * tests/test_checkpoint.cpp). A mismatched machine or workload
      * throws ckpt::CheckpointError. Interval samples are not part of
-     * the image; restore() clears them. @{
+     * the image; restore() clears them. A restore that throws may
+     * have overwritten part of the state: until a later restore()
+     * completes, warmup(), step(), runFor(), run(), finish() and
+     * checkpoint() throw ckpt::CheckpointError instead of running on
+     * a mix of restored and fresh state. @{
      */
     ckpt::Checkpoint checkpoint() const;
     void restore(const ckpt::Checkpoint &c);
@@ -178,8 +181,8 @@ class Session
     /** @} */
 
   private:
-    /** Shared body: own @p own or borrow @p borrowed, build the core,
-     *  prewarm and arm the audit flip. */
+    /** Shared body: own @p own or borrow @p borrowed, build the core
+     *  and prewarm. */
     Session(const MachineConfig &machine, wload::WorkloadPtr own,
             wload::Workload *borrowed, const mem::MemConfig &mem_config,
             const RunConfig &run_config);
@@ -201,8 +204,8 @@ class Session
     /** Absolute cycle the measured region must end by. */
     uint64_t deadlineCycle() const;
 
-    /** The RunConfig::maxWallMs host-clock deadline passed. */
-    bool wallExpired() const;
+    /** Throw unless the last restore() completed. */
+    void requireRestored() const;
 
     std::string machineName;
     RunConfig rc;
@@ -213,12 +216,7 @@ class Session
 
     bool warmedUp = false;
     bool aborted_ = false;
-
-    /** Wall-clock anchor of RunConfig::maxWallMs (set at
-     *  construction, so prewarm and warm-up count against it). */
-    std::chrono::steady_clock::time_point wallStart =
-        // kilolint: allow(nondeterminism) wall-deadline anchor
-        std::chrono::steady_clock::now();
+    bool restoreIncomplete = false;  ///< a restore() threw midway
 
     uint64_t measureStartCycle = 0;   ///< absolute core cycle
     uint64_t nextIntervalAt = 0;      ///< committed insts, 0 = off

@@ -3,13 +3,6 @@
 #include "src/core/ooo_core.hh"
 #include "src/dkip/dkip_core.hh"
 #include "src/kilo_proc/kilo_core.hh"
-// The one sanctioned inversion of the layer DAG: runSimulation() is
-// the single entry point for every driver, so SamplingMode::Sampled
-// has to dispatch *down* into the sampling harness even though
-// src/sample sits above src/sim (it drives whole Sessions). Moving
-// the dispatch up would force every driver to special-case sampling.
-// Inventory: src/lint/DESIGN.md, suppression table.
-#include "src/sample/sampled_run.hh"  // kilolint: allow(layering)
 #include "src/sim/session.hh"
 #include "src/util/logging.hh"
 
@@ -55,10 +48,6 @@ Simulator::run(const MachineConfig &machine, wload::Workload &workload,
                const mem::MemConfig &mem_config,
                const RunConfig &run_config)
 {
-    if (run_config.samplingMode == SamplingMode::Sampled)
-        return sample::runSampled(machine, workload, mem_config,
-                                  run_config)
-            .result;
     Session session(machine, workload, mem_config, run_config);
     session.warmup();
     session.run();

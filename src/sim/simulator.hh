@@ -9,10 +9,12 @@
  *         mem::MemConfig::mem400(), sim::RunConfig());
  *     std::printf("IPC %.2f\n", result.ipc);
  *
- * Simulator::run is a thin wrapper over sim::Session
+ * Simulator::run is exact — every instruction of the measured region
+ * in detail — and a thin wrapper over sim::Session
  * (src/sim/session.hh), the stepwise run object to use when a run
  * must be sampled mid-flight, paced against a wall clock, or aborted
- * on a cycle deadline.
+ * on a cycle deadline. Sampled estimates come from
+ * sample::runSampled (src/sample/sampled_run.hh).
  */
 
 #pragma once
@@ -32,13 +34,6 @@
 namespace kilo::sim
 {
 
-/** How a run's measured region is simulated. */
-enum class SamplingMode : uint8_t
-{
-    Off,      ///< exact: every instruction in detail
-    Sampled,  ///< cluster representatives only (src/sample/)
-};
-
 /** Length and instrumentation of a simulation. */
 struct RunConfig
 {
@@ -56,18 +51,6 @@ struct RunConfig
     uint64_t maxCycles = 0;
 
     /**
-     * Wall-clock deadline in milliseconds for the whole run (warm-up
-     * plus measured region); 0 means unlimited. A run still going
-     * when the host clock passes the deadline stops at the next check
-     * quantum and reports RunResult::aborted — the per-job insurance
-     * sharded sweep workers need against a pathological config
-     * wedging a whole shard. Unlike maxCycles this deadline is
-     * inherently non-deterministic (it depends on host speed); the
-     * simulated timing of the region that did run is unaffected.
-     */
-    uint64_t maxWallMs = 0;
-
-    /**
      * Interval statistics sampling period in committed instructions;
      * 0 disables. When set, the Session records a stats::IntervalSample
      * (cumulative snapshot + per-interval IPC) every intervalInsts
@@ -77,21 +60,10 @@ struct RunConfig
      */
     uint64_t intervalInsts = 0;
 
-    /**
-     * SamplingMode::Sampled makes Simulator::run (and therefore
-     * SweepEngine matrices and sharded sweeps) estimate the measured
-     * region by simulating only cluster-representative intervals —
-     * see src/sample/DESIGN.md. intervalInsts is the sampling
-     * interval length (0 picks a default of measureInsts / 50),
-     * numClusters bounds how many representatives are simulated, and
-     * warmupInsts doubles as the functional-warming span replayed
-     * before each representative. Deterministic: a sampled job
-     * produces the same JSONL row in any process or thread.
-     */
-    SamplingMode samplingMode = SamplingMode::Off;
-
-    /** Behaviour clusters (= representative intervals simulated) of
-     *  a SamplingMode::Sampled run. */
+    /** Behaviour clusters (= representative intervals simulated)
+     *  of a sample::runSampled run, which also reads intervalInsts
+     *  as its sampling interval (0 picks measureInsts / 50).
+     *  Exact runs ignore it. */
     uint32_t numClusters = 8;
 
     /**
@@ -104,24 +76,10 @@ struct RunConfig
      * region (RunResult::audit, written to disk as a KILOAUD stream
      * by tools/kilodiff). Zero-perturbation pinned like the other
      * observability planes: the fold reads state, never changes it.
-     * Ignored under SamplingMode::Sampled (a sampled run estimates;
-     * there is no exact state trajectory to audit).
+     * Ignored by sample::runSampled (a sampled run estimates; there
+     * is no exact state trajectory to audit).
      */
     uint64_t auditIntervalInsts = 0;
-
-    /**
-     * Test-only divergence seed for the audit plane: when non-zero,
-     * XOR auditFlipMask into the fetch global history at the first
-     * simulated cycle >= auditFlipCycle (warm-up included). Exists so
-     * the CI kilodiff smoke test can plant a known single-bit fault
-     * and assert the audit plane localizes it; never set by real
-     * drivers. Deliberately excluded from Manifest serialization of
-     * normal sweeps and from the state digest (only the fired latch
-     * is hashed). @{
-     */
-    uint64_t auditFlipCycle = 0;
-    uint64_t auditFlipMask = 1;
-    /** @} */
 
     /** Short preset for wide parameter sweeps. */
     static RunConfig
@@ -187,7 +145,8 @@ class Simulator
     makeCore(const MachineConfig &machine, wload::Workload &workload,
              const mem::MemConfig &mem_config);
 
-    /** Run @p workload_name on @p machine and collect statistics. */
+    /** Run @p workload_name on @p machine, exactly, and collect
+     *  statistics. */
     static RunResult run(const MachineConfig &machine,
                          const std::string &workload_name,
                          const mem::MemConfig &mem_config,

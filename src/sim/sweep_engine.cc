@@ -75,21 +75,6 @@ SweepEngine::run(const std::vector<SweepJob> &jobs) const
     return results;
 }
 
-std::vector<RunResult>
-SweepEngine::runSubset(const std::vector<SweepJob> &jobs,
-                       const std::vector<size_t> &indices) const
-{
-    std::vector<SweepJob> subset;
-    subset.reserve(indices.size());
-    for (size_t idx : indices) {
-        KILO_ASSERT(idx < jobs.size(),
-                    "shard index %zu outside a %zu-job matrix", idx,
-                    jobs.size());
-        subset.push_back(jobs[idx]);
-    }
-    return run(subset);
-}
-
 std::vector<size_t>
 SweepEngine::shardIndices(size_t num_jobs, uint32_t shard_index,
                           uint32_t shard_count)

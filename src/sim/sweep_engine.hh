@@ -65,17 +65,6 @@ class SweepEngine
     std::vector<RunResult> run(const std::vector<SweepJob> &jobs) const;
 
     /**
-     * Execute only the jobs named by @p indices (global positions in
-     * @p jobs); results[i] corresponds to jobs[indices[i]]. This is
-     * the shard-execution entry the kilosim_worker binary drives: a
-     * shard runs its slice with full per-job isolation, so sharded
-     * results are bit-identical to the full-matrix run.
-     */
-    std::vector<RunResult>
-    runSubset(const std::vector<SweepJob> &jobs,
-              const std::vector<size_t> &indices) const;
-
-    /**
      * Deterministic job→shard partitioning: the global job indices
      * owned by shard @p shard_index of @p shard_count. Round-robin
      * (job i belongs to shard i % count), so the machine-major matrix

@@ -26,6 +26,13 @@
 #                 KILO stream is recorded twice, compared and
 #                 verified too, so the Analyze path both aging-ROB
 #                 machines share is pinned on each.
+#   sharded       multi-process sweeps (src/shard/DESIGN.md): a
+#                 4-shard orchestrated run of a mixed synthetic +
+#                 trace-backed matrix merges byte-identical to the
+#                 single-process stream, plain and audited (9 KILOAUD
+#                 lines); the same matrix sampled (src/sample/)
+#                 merges byte-identical from 2 shards. Needs the
+#                 examples: custom_workload records the trace.
 set -eu
 
 case_name=$1
@@ -67,6 +74,41 @@ case $case_name in
     "$bin/kilodiff" record k2.kaud $kspec --interval 1000
     cmp k.kaud k2.kaud
     "$bin/kilodiff" verify k.kaud $kspec
+    ;;
+  sharded)
+    "$bin/custom_workload" --record shard_ci.ktrc swim > /dev/null
+    cat > ci.manifest <<'EOF'
+KILOSHARD 1
+machine r10-64
+machine kilo
+machine dkip
+workload mcf
+workload swim
+workload trace:shard_ci.ktrc
+mem mem-400
+warmup 2000
+measure 8000
+EOF
+    "$bin/kilosim_worker" --single ci.manifest > single.jsonl
+    "$bin/kilosim_worker" --orchestrate 4 --progress ci.manifest \
+        > sharded.jsonl 2> progress.log
+    diff single.jsonl sharded.jsonl
+    grep -q 'kilo-shard:' progress.log
+
+    "$bin/kilosim_worker" --single --audit ci.manifest > single_aud.jsonl
+    "$bin/kilosim_worker" --orchestrate 4 --audit ci.manifest \
+        > sharded_aud.jsonl
+    diff single_aud.jsonl sharded_aud.jsonl
+    test "$(grep -c '^KILOAUD ' single_aud.jsonl)" -eq 9
+
+    { cat ci.manifest
+      printf 'sampling sampled\ninterval 1000\nclusters 4\n'
+    } > sampled.manifest
+    "$bin/kilosim_worker" --single sampled.manifest > single_smp.jsonl
+    "$bin/kilosim_worker" --orchestrate 2 sampled.manifest \
+        > sharded_smp.jsonl
+    diff single_smp.jsonl sharded_smp.jsonl
+    test "$(wc -l < single_smp.jsonl)" -eq 9
     ;;
   *)
     echo "golden_diff.sh: unknown case '$case_name'" >&2

@@ -388,8 +388,8 @@ TEST(AuditBisect, LocalizesASeededFlipToItsExactCycle)
     obs::AuditStream sa = obs_audit::recordRun(a);
     ASSERT_GE(sa.records.size(), 3u);
     uint64_t flip = (sa.records[1].cycle + sa.records[2].cycle) / 2;
-    b.rc.auditFlipCycle = flip;
-    b.rc.auditFlipMask = 1;
+    b.flipCycle = flip;
+    b.flipMask = 1;
 
     obs::AuditStream sb = obs_audit::recordRun(b);
     long k = obs::firstDivergence(sa, sb);

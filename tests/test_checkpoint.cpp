@@ -252,6 +252,13 @@ TEST(Checkpoint, MismatchedWindowConfigRejected)
         EXPECT_THROW(dst.restore(dkip_snap), ckpt::CheckpointError)
             << "checkpointCapacity " << mc.dkip.checkpointCapacity
             << " llibCapacity " << mc.dkip.llibCapacity;
+        // The throw came after the base core state was overwritten:
+        // the half-restored Session refuses to run or report on.
+        EXPECT_THROW(dst.run(), ckpt::CheckpointError);
+        EXPECT_THROW(dst.finish(), ckpt::CheckpointError);
+        EXPECT_THROW(dst.step(100), ckpt::CheckpointError);
+        EXPECT_THROW(dst.runFor(100), ckpt::CheckpointError);
+        EXPECT_THROW(dst.checkpoint(), ckpt::CheckpointError);
     }
 
     // The matching configuration still restores.
@@ -260,7 +267,8 @@ TEST(Checkpoint, MismatchedWindowConfigRejected)
     EXPECT_NO_THROW(same.restore(dkip_snap));
 }
 
-/** Trailing garbage after the core state is rejected, not ignored. */
+/** Trailing garbage after the core state is rejected, not ignored;
+ *  the Session stays unusable until a clean image restores. */
 TEST(Checkpoint, TrailingBytesRejected)
 {
     RunConfig rc = shortRun();
@@ -273,6 +281,15 @@ TEST(Checkpoint, TrailingBytesRejected)
     Session dst(MachineConfig::r10_64(), "mcf",
                 mem::MemConfig::mem400(), rc);
     EXPECT_THROW(dst.restore(snap), ckpt::CheckpointError);
+    EXPECT_THROW(dst.run(), ckpt::CheckpointError);
+
+    // Restoring the clean image makes the Session usable again, and
+    // the resumed run matches one that never paused.
+    snap.bytes.pop_back();
+    dst.restore(snap);
+    dst.run();
+    EXPECT_EQ(runResultJson(dst.finish()),
+              uninterruptedRow(MachineConfig::r10_64(), "mcf", rc));
 }
 
 /** On-disk KILOCKPT round trip is exact. */

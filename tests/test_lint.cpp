@@ -426,8 +426,8 @@ TEST(LintLayering, DownwardAndTransitiveIncludesAreClean)
 
 TEST(LintLayering, SuppressionCoversModelFindings)
 {
-    // The sanctioned sim->sample pattern: an allow() on the include
-    // line absorbs the tier-1 finding like any per-file one.
+    // An allow() on the include line absorbs the tier-1 finding like
+    // any per-file one.
     LintReport r = analyzeTexts(
         {{"src/util/helper.hh",
           "#pragma once\n"
@@ -604,10 +604,9 @@ TEST(LintSelfScan, LiveTreeLintsClean)
     // Every sanctioned suppression must still be load-bearing; the
     // count is pinned so exemptions cannot silently accumulate (CI
     // enforces the same cap via kilolint --max-suppressions).
-    // 14 = 11 nondeterminism wall-deadline sites + 2 raw-
-    // serialization + 1 layering (the sim->sample dispatch); see
-    // src/lint/DESIGN.md.
-    EXPECT_EQ(report.suppressionsTotal, 14);
+    // 11 = 9 nondeterminism wall-clock sites + 2 raw-serialization;
+    // see src/lint/DESIGN.md.
+    EXPECT_EQ(report.suppressionsTotal, 11);
     EXPECT_EQ(report.suppressionsUsed, report.suppressionsTotal);
 }
 

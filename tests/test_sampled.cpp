@@ -40,7 +40,6 @@ sampledConfig()
     rc.measureInsts = 400000;
     rc.intervalInsts = 10000;
     rc.numClusters = 12;
-    rc.samplingMode = sim::SamplingMode::Sampled;
     return rc;
 }
 
@@ -50,7 +49,6 @@ exactConfig()
 {
     sim::RunConfig rc = sampledConfig();
     rc.intervalInsts = 0;
-    rc.samplingMode = sim::SamplingMode::Off;
     return rc;
 }
 
@@ -223,10 +221,10 @@ TEST(SampledRow, DeterministicAndSchemaMatchesExact)
 
     sim::RunResult exact = sim::Simulator::run(machine, "swim", mem,
                                                exactConfig());
-    sim::RunResult s1 = sim::Simulator::run(machine, "swim", mem,
-                                            sampledConfig());
-    sim::RunResult s2 = sim::Simulator::run(machine, "swim", mem,
-                                            sampledConfig());
+    sim::RunResult s1 =
+        runSampled(machine, "swim", mem, sampledConfig()).result;
+    sim::RunResult s2 =
+        runSampled(machine, "swim", mem, sampledConfig()).result;
 
     std::string row1 = sim::runResultJson(s1);
     std::string row2 = sim::runResultJson(s2);
@@ -239,29 +237,39 @@ TEST(SampledRow, DeterministicAndSchemaMatchesExact)
 
 TEST(SampledSweep, ShardedMergeMatchesSingleProcess)
 {
-    sim::RunConfig rc = sampledConfig();
-    rc.measureInsts = 120000;  // keep the 2x4-job matrix quick
-    auto jobs = sim::SweepEngine::matrixByName(
-        {"r10-64", "dkip"}, {"mcf", "swim"}, {"mem-400"}, rc);
+    shard::Manifest m;
+    m.machines = {"r10-64", "dkip"};
+    m.workloads = {"mcf", "swim"};
+    m.mems = {"mem-400"};
+    m.run = sampledConfig();
+    m.run.measureInsts = 120000;  // keep the 2x2-job matrix quick
+    m.sampled = true;
+    auto jobs = m.jobs();
 
-    sim::SweepEngine engine(2);
-    auto full = engine.run(jobs);
-
-    // Two shards, merged by global index like the orchestrator does.
-    std::vector<sim::RunResult> merged(jobs.size());
-    for (uint32_t shard = 0; shard < 2; ++shard) {
-        auto indices =
-            sim::SweepEngine::shardIndices(jobs.size(), shard, 2);
-        auto part = engine.runSubset(jobs, indices);
-        for (size_t i = 0; i < indices.size(); ++i)
-            merged[indices[i]] = part[i];
+    // The whole matrix in one process: every row is the runSampled
+    // estimate of its job.
+    std::vector<std::string> full;
+    for (const sim::SweepJob &job : jobs) {
+        full.push_back(sim::runResultJson(m.runJob(job)));
+        EXPECT_EQ(full.back(),
+                  sim::runResultJson(runSampled(job.machine,
+                                                job.workload, job.mem,
+                                                job.run)
+                                         .result))
+            << job.machine.name << "/" << job.workload;
     }
 
-    ASSERT_EQ(full.size(), merged.size());
-    for (size_t i = 0; i < full.size(); ++i)
-        EXPECT_EQ(sim::runResultJson(full[i]),
-                  sim::runResultJson(merged[i]))
-            << "job " << i;
+    // Two shards loaded from the manifest text, as workers load it,
+    // merged by global index like the orchestrator does.
+    std::vector<std::string> merged(jobs.size());
+    for (uint32_t index = 0; index < 2; ++index) {
+        shard::Manifest part = shard::Manifest::parse(m.serialize());
+        part.shardIndex = index;
+        part.shardCount = 2;
+        for (size_t i : part.shardJobIndices())
+            merged[i] = sim::runResultJson(part.runJob(jobs[i]));
+    }
+    EXPECT_EQ(merged, full);
 }
 
 // -------------------------------------------------------- manifests
@@ -274,7 +282,7 @@ TEST(SampledManifest, SamplingDirectivesRoundTrip)
     m.mems = {"mem-400"};
     m.run.intervalInsts = 10000;
     m.run.numClusters = 12;
-    m.run.samplingMode = sim::SamplingMode::Sampled;
+    m.sampled = true;
 
     shard::Manifest back = shard::Manifest::parse(m.serialize());
     EXPECT_TRUE(back == m);
@@ -305,7 +313,7 @@ TEST(SampledManifest, SamplingDirectivesRoundTrip)
         "sampling sampled\n");
     EXPECT_EQ(parsed.run.intervalInsts, 5000u);
     EXPECT_EQ(parsed.run.numClusters, 6u);
-    EXPECT_EQ(parsed.run.samplingMode, sim::SamplingMode::Sampled);
+    EXPECT_TRUE(parsed.sampled);
 
     EXPECT_THROW(shard::Manifest::parse("KILOSHARD 1\nmachine dkip\n"
                                         "workload mcf\nmem mem-400\n"

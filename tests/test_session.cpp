@@ -278,35 +278,3 @@ TEST(Session, ResultCarriesSnapshotAndLegacyFieldsAgree)
     EXPECT_EQ(uint64_t(res.snapshot.value("cycles")),
               res.stats.cycles);
 }
-
-TEST(Session, WallClockDeadlineAborts)
-{
-    // A 100M-instruction region cannot complete inside 1 ms of host
-    // time; the wall deadline must stop it and flag the abort. The
-    // assertion is on the flag, not on how far the run got — wall
-    // aborts are inherently host-speed dependent.
-    RunConfig rc;
-    rc.warmupInsts = 1000;
-    rc.measureInsts = 100000000;
-    rc.maxWallMs = 1;
-    auto res = Simulator::run(MachineConfig::r10_64(), "swim",
-                              mem::MemConfig::mem400(), rc);
-    EXPECT_TRUE(res.aborted);
-    EXPECT_LT(res.stats.committed, rc.measureInsts);
-}
-
-TEST(Session, WallClockDeadlineOffIsBitIdentical)
-{
-    // An armed-but-unreached wall deadline only chunks the engine's
-    // runUntil quanta, which Session stepping guarantees is exact:
-    // the result row must match the no-deadline run byte for byte.
-    RunConfig plain = shortRun();
-    RunConfig walled = shortRun();
-    walled.maxWallMs = 600000; // ten minutes: never reached
-    auto a = Simulator::run(MachineConfig::dkip2048(), "mcf",
-                            mem::MemConfig::mem400(), plain);
-    auto b = Simulator::run(MachineConfig::dkip2048(), "mcf",
-                            mem::MemConfig::mem400(), walled);
-    EXPECT_FALSE(b.aborted);
-    EXPECT_EQ(runResultJson(a), runResultJson(b));
-}

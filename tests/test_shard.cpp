@@ -109,7 +109,6 @@ TEST(ShardManifest, RoundTripsThroughSerialize)
     m.run.warmupInsts = 123;
     m.run.measureInsts = 4567;
     m.run.maxCycles = 1000000;
-    m.run.maxWallMs = 2500;
     m.shardIndex = 2;
     m.shardCount = 5;
 
@@ -189,6 +188,19 @@ TEST(ShardManifest, RejectsMalformedInput)
                   std::string::npos)
             << e.what();
     }
+    // The removed host-time deadline is rejected, never ignored, and
+    // the message names both guards that replace it.
+    try {
+        Manifest::parse("KILOSHARD 1\nmachine dkip\n"
+                        "max_wall_ms 60000\n");
+        FAIL() << "max_wall_ms accepted";
+    } catch (const ShardError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("<string>:3"), std::string::npos) << what;
+        EXPECT_NE(what.find("max_cycles"), std::string::npos) << what;
+        EXPECT_NE(what.find("--deadline-ms"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(ShardManifest, LoadReportsMissingFile)
@@ -222,22 +234,23 @@ TEST(ShardPartition, ShardsAreDisjointAndCovering)
     }
 }
 
-TEST(ShardPartition, SubsetRunMatchesFullRunSlice)
+TEST(ShardPartition, ShardJobsMatchFullRunSlice)
 {
-    sim::RunConfig rc;
-    rc.warmupInsts = 2000;
-    rc.measureInsts = 5000;
-    auto jobs = sim::SweepEngine::matrix(
-        {sim::MachineConfig::r10_64()}, {"mcf", "gzip", "swim"},
-        {mem::MemConfig::mem400()}, rc);
-    sim::SweepEngine engine(1);
-    auto full = engine.run(jobs);
-    auto idx = sim::SweepEngine::shardIndices(jobs.size(), 1, 2);
-    auto part = engine.runSubset(jobs, idx);
-    ASSERT_EQ(part.size(), idx.size());
-    for (size_t i = 0; i < idx.size(); ++i) {
-        EXPECT_EQ(sim::runResultJson(part[i]),
-                  sim::runResultJson(full[idx[i]]));
+    Manifest m;
+    m.machines = {"r10-64"};
+    m.workloads = {"mcf", "gzip", "swim"};
+    m.mems = {"mem-400"};
+    m.run.warmupInsts = 2000;
+    m.run.measureInsts = 5000;
+    m.shardIndex = 1;
+    m.shardCount = 2;
+    auto jobs = m.jobs();
+    auto full = sim::SweepEngine(1).run(jobs);
+    // A worker's rows are runJob() on its slice of the full matrix.
+    for (size_t i : m.shardJobIndices()) {
+        EXPECT_EQ(sim::runResultJson(m.runJob(jobs[i])),
+                  sim::runResultJson(full[i]))
+            << "job " << i;
     }
 }
 
@@ -435,11 +448,10 @@ TEST_F(ShardTest, RetriedShardDigestMismatchIsHardError)
     Manifest m = miniManifest(tempPath("audbad", ".ktrc"));
     m.run.auditIntervalInsts = 1500;
 
-    // The first attempt claims BOTH tokens: it simulates under the
-    // audit plane's divergence seed (different architectural state,
-    // different digests) and dies after reporting one job. The retry
-    // runs clean — and the orchestrator must refuse to paper over
-    // the disagreement between the two attempts.
+    // The first attempt claims BOTH tokens: it reports flipped
+    // digests and dies after reporting one job. The retry runs clean
+    // — and the orchestrator must refuse to paper over the
+    // disagreement between the two attempts.
     std::string crash = tempPath("crashtok");
     std::string flip = tempPath("fliptok");
     { std::ofstream(crash) << "x\n"; }
@@ -448,7 +460,7 @@ TEST_F(ShardTest, RetriedShardDigestMismatchIsHardError)
     OrchestratorConfig cfg;
     cfg.workerPath = kWorkerPath;
     cfg.workerArgs = {"--crash-token", crash, "--crash-after", "1",
-                      "--flip-token", flip, "--flip-cycle", "50"};
+                      "--flip-token", flip};
     cfg.shards = 1;
     cfg.maxAttempts = 3;
     cfg.audit = true;

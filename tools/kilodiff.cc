@@ -58,8 +58,6 @@ usage(const char *argv0)
 struct Options
 {
     obs_audit::RunSpec spec;
-    uint64_t flipCycle = 0;
-    uint64_t flipMask = 1;
     std::string dumpPrefix;
     uint64_t margin = 200;
     bool ok = true;
@@ -96,9 +94,9 @@ parseRunOptions(int argc, char **argv, int first)
             o.spec.rc.auditIntervalInsts =
                 std::strtoull(value(), nullptr, 0);
         } else if (!std::strcmp(arg, "--flip-cycle")) {
-            o.flipCycle = std::strtoull(value(), nullptr, 0);
+            o.spec.flipCycle = std::strtoull(value(), nullptr, 0);
         } else if (!std::strcmp(arg, "--flip-mask")) {
-            o.flipMask = std::strtoull(value(), nullptr, 0);
+            o.spec.flipMask = std::strtoull(value(), nullptr, 0);
         } else if (!std::strcmp(arg, "--dump")) {
             o.dumpPrefix = value();
         } else if (!std::strcmp(arg, "--margin")) {
@@ -153,10 +151,7 @@ printDivergence(const obs::AuditStream &a, const obs::AuditStream &b,
 int
 cmdRecord(const char *out, const Options &o)
 {
-    obs_audit::RunSpec spec = o.spec;
-    spec.rc.auditFlipCycle = o.flipCycle;
-    spec.rc.auditFlipMask = o.flipMask;
-    obs::AuditStream stream = obs_audit::recordRun(spec);
+    obs::AuditStream stream = obs_audit::recordRun(o.spec);
     obs::writeAuditFile(out, stream);
     std::printf("wrote %s: %zu records, interval %llu insts, "
                 "rolling %016llx\n",
@@ -188,8 +183,6 @@ cmdVerify(const char *pa, const Options &o)
     obs::AuditStream a = obs::readAuditFile(pa);
     obs_audit::RunSpec spec = o.spec;
     spec.rc.auditIntervalInsts = a.intervalInsts;
-    spec.rc.auditFlipCycle = o.flipCycle;
-    spec.rc.auditFlipMask = o.flipMask;
     obs::AuditStream live = obs_audit::recordRun(spec);
     long k = obs::firstDivergence(a, live);
     if (k < 0) {
@@ -212,12 +205,11 @@ cmdBisect(const char *pa, const char *pb, const Options &o)
 
     obs_audit::RunSpec specA = o.spec;
     specA.rc.auditIntervalInsts = a.intervalInsts;
-    obs_audit::RunSpec specB = o.spec;
-    specB.rc.auditIntervalInsts = b.intervalInsts;
     // The divergence seed belongs to the suspect run only; A is the
     // reference the suspect is measured against.
-    specB.rc.auditFlipCycle = o.flipCycle;
-    specB.rc.auditFlipMask = o.flipMask;
+    specA.flipCycle = 0;
+    obs_audit::RunSpec specB = o.spec;
+    specB.rc.auditIntervalInsts = b.intervalInsts;
 
     obs_audit::BisectResult res = obs_audit::bisect(
         specA, specB, a, b, o.dumpPrefix, o.margin);

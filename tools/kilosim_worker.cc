@@ -6,30 +6,29 @@
  *         execute one shard of the manifest's sweep matrix and print
  *         one "<job-index> <json>" row per owned job on stdout (the
  *         tagged form the orchestrator merges). --shard overrides the
- *         manifest's own shard line. With --heartbeat the shard runs
- *         its jobs one at a time (rows stay byte-identical — sweep
- *         jobs are independent) and emits one KILOHB telemetry line
- *         on stderr after each (src/obs/heartbeat.hh); the
- *         orchestrator parses these into its live progress stream.
- *         With --audit every job runs under the determinism-audit
- *         plane (src/obs/audit.hh; cadence = the manifest's `audit`
- *         directive, defaulting to measure/4) and each tagged row is
- *         followed by a "KILOAUD <job-index> <16-hex-rolling>" line
- *         carrying the job's final rolling state digest.
+ *         manifest's own shard line. With --heartbeat the worker
+ *         emits one KILOHB telemetry line on stderr after each job
+ *         (src/obs/heartbeat.hh); the orchestrator parses these into
+ *         its live progress stream. With --audit every job runs under
+ *         the determinism-audit plane (src/obs/audit.hh; cadence =
+ *         the manifest's `audit` directive, defaulting to measure/4)
+ *         and each tagged row is followed by a
+ *         "KILOAUD <job-index> <16-hex-rolling>" line carrying the
+ *         job's final rolling state digest.
  *
  *     kilosim_worker --single [--audit] MANIFEST
  *         run the FULL matrix in this process and print the plain
- *         JSONL stream (writeJsonRows) — the single-process reference
- *         a sharded run must reproduce byte-for-byte. With --audit,
- *         the rows are followed by one KILOAUD line per job in job
- *         order — the same shape an audited orchestrated run merges
- *         to, so CI can byte-diff the two streams whole.
+ *         JSONL stream (runResultJson per job) — the single-process
+ *         reference a sharded run must reproduce byte-for-byte. With
+ *         --audit, the rows are followed by one KILOAUD line per job
+ *         in job order — the same shape an audited orchestrated run
+ *         merges to, so the two streams byte-diff whole.
  *
- *     kilosim_worker --orchestrate N [--deadline-ms D] [--audit]
- *                    MANIFEST
+ *     kilosim_worker --orchestrate N [--deadline-ms D] [--progress]
+ *                    [--audit] MANIFEST
  *         parent mode: spawn N copies of this binary (one per shard,
  *         --shard i/N), supervise, merge, and print the merged plain
- *         JSONL stream. CI diffs this against --single. With --audit
+ *         JSONL stream, which must equal --single. With --audit
  *         the children run audited, the parent cross-checks rolling
  *         digests across retried attempts (a silent divergence
  *         between two attempts of the same job is a hard error), and
@@ -48,17 +47,18 @@
  *         that claims the token (crash exactly once, then run clean);
  *         alone it fires in every attempt.
  *
- *     --flip-token PATH [--flip-cycle C] [--flip-mask M]
- *         (test hook, shard mode) if PATH exists, unlink it and arm
- *         the audit plane's divergence seed (RunConfig::auditFlip*)
- *         in THIS process only: the claiming attempt computes
- *         different state digests than any clean re-run of the same
- *         jobs, which must surface as an audit-digest mismatch.
+ *     --flip-token PATH   (test hook, shard mode)
+ *         if PATH exists, unlink it and XOR 1 into every KILOAUD
+ *         digest THIS process prints: the claiming attempt reports
+ *         different digests than any clean re-run of the same jobs,
+ *         which must surface as an audit-digest mismatch. (A flip of
+ *         the simulated state itself is kilodiff's --flip-cycle.)
  *
- * Sweep threads per process default to KILO_SWEEP_THREADS (the
- * orchestrator exports 1 to its children); trace-backed jobs replay
- * through the mmap reader, so co-located workers share one file's
- * pages.
+ * Shard mode and --single share one loop: each job runs through
+ * shard::Manifest::runJob (exact or sampled, per the manifest), one
+ * at a time; process-level sharding is the only fan-out.
+ * Trace-backed jobs replay through the mmap reader, so co-located
+ * workers share one file's pages.
  */
 
 #include <algorithm>
@@ -124,41 +124,37 @@ printAuditLine(size_t job_index, uint64_t rolling)
                 job_index, (unsigned long long)rolling);
 }
 
+/**
+ * Run the manifest's shard one job at a time, printing each row as
+ * it completes — tagged "<job-index> <json>" in shard mode, plain
+ * JSONL for --single (whose manifest is the whole matrix, shard 0/1).
+ * Rows and digests are flushed per job, so a crashed attempt leaves
+ * harvestable partial output.
+ */
 int
-runShard(const shard::Manifest &manifest, bool heartbeat, bool audit,
-         uint64_t crash_after)
+runJobs(const shard::Manifest &manifest, bool single, bool heartbeat,
+        bool audit, uint64_t crash_after, uint64_t digest_flip)
 {
     auto jobs = manifest.jobs();
     auto indices = manifest.shardJobIndices();
-    sim::SweepEngine engine;
-    if (!heartbeat && !audit && !crash_after) {
-        auto results = engine.runSubset(jobs, indices);
-        for (size_t i = 0; i < indices.size(); ++i) {
-            std::printf("%zu %s\n", indices[i],
-                        sim::runResultJson(results[i]).c_str());
-        }
-        return 0;
-    }
-
-    // Per-job mode (telemetry, audit and the crash-after hook need a
-    // row boundary between jobs): one job at a time, the row — and
-    // with --audit its KILOAUD digest line — flushed after each.
-    // Sweep jobs are independent, so per-job runSubset calls produce
-    // rows byte-identical to the bulk path above (pinned by the
-    // sharded-vs-single CI golden diff, which runs the orchestrator
-    // with progress enabled).
+    // --single prints its digests after all rows, in job order.
+    std::vector<uint64_t> digests;
     using ClockMs = std::chrono::steady_clock;
     // kilolint: allow(nondeterminism) heartbeat wall-time anchor
     auto start = ClockMs::now();
     auto last = start;
     uint64_t insts_done = 0;
     for (size_t k = 0; k < indices.size(); ++k) {
-        std::vector<size_t> one{indices[k]};
-        auto results = engine.runSubset(jobs, one);
-        std::printf("%zu %s\n", indices[k],
-                    sim::runResultJson(results[0]).c_str());
-        if (audit)
-            printAuditLine(indices[k], results[0].auditRolling);
+        size_t job = indices[k];
+        sim::RunResult result = manifest.runJob(jobs[job]);
+        uint64_t digest = result.auditRolling ^ digest_flip;
+        if (!single)
+            std::printf("%zu ", job);  // the orchestrator's merge key
+        std::printf("%s\n", sim::runResultJson(result).c_str());
+        if (audit && single)
+            digests.push_back(digest);
+        else if (audit)
+            printAuditLine(job, digest);
         std::fflush(stdout);
         if (crash_after && k + 1 >= crash_after) {
             std::fprintf(stderr, "kilosim_worker: --crash-after %llu "
@@ -176,12 +172,12 @@ runShard(const shard::Manifest &manifest, bool heartbeat, bool audit,
                                 std::chrono::milliseconds>(d)
                                 .count());
         };
-        insts_done += results[0].stats.committed;
+        insts_done += result.stats.committed;
         obs::Heartbeat hb;
         hb.shard = int(manifest.shardIndex);
         hb.jobsDone = k + 1;
         hb.jobsTotal = indices.size();
-        hb.lastJob = int(indices[k]);
+        hb.lastJob = int(job);
         hb.instsDone = insts_done;
         hb.elapsedMs = ms(t - start);
         hb.lastJobWallMs = ms(t - last);
@@ -190,22 +186,8 @@ runShard(const shard::Manifest &manifest, bool heartbeat, bool audit,
                      obs::serializeHeartbeat(hb).c_str());
         std::fflush(stderr);
     }
-    return 0;
-}
-
-int
-runSingle(const shard::Manifest &manifest, bool audit)
-{
-    sim::SweepEngine engine;
-    auto results = engine.run(manifest.jobs());
-    for (const auto &r : results)
-        std::printf("%s\n", sim::runResultJson(r).c_str());
-    // Digests after the rows, in job order — the same stream shape
-    // an audited orchestrated run merges to (byte-diffable in CI).
-    if (audit) {
-        for (size_t i = 0; i < results.size(); ++i)
-            printAuditLine(i, results[i].auditRolling);
-    }
+    for (size_t i = 0; i < digests.size(); ++i)
+        printAuditLine(indices[i], digests[i]);
     return 0;
 }
 
@@ -240,8 +222,7 @@ main(int argc, char **argv)
     uint32_t shards = 0;
     uint64_t deadline_ms = 0;
     uint64_t crash_after = 0;
-    uint64_t flip_cycle = 1;
-    uint64_t flip_mask = 1;
+    uint64_t digest_flip = 0;
     std::string shard_spec;
     std::string crash_token;
     std::string flip_token;
@@ -278,10 +259,6 @@ main(int argc, char **argv)
             crash_after = std::strtoull(value(), nullptr, 10);
         } else if (arg == "--flip-token") {
             flip_token = value();
-        } else if (arg == "--flip-cycle") {
-            flip_cycle = std::strtoull(value(), nullptr, 10);
-        } else if (arg == "--flip-mask") {
-            flip_mask = std::strtoull(value(), nullptr, 16);
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(argv[0]);
         } else if (manifest_path.empty()) {
@@ -335,22 +312,22 @@ main(int argc, char **argv)
         }
         if (!flip_token.empty() &&
             std::remove(flip_token.c_str()) == 0) {
-            // Divergence-seed-once hook: the claiming process audits
-            // a deliberately perturbed run (see RunConfig::auditFlip*).
+            // Digest-flip-once hook: the claiming process reports
+            // digests no clean attempt can reproduce.
             std::fprintf(stderr, "kilosim_worker: flip token %s "
-                                 "claimed, seeding divergence at "
-                                 "cycle %llu\n",
-                         flip_token.c_str(),
-                         (unsigned long long)flip_cycle);
-            manifest.run.auditFlipCycle = flip_cycle;
-            manifest.run.auditFlipMask = flip_mask;
+                                 "claimed, flipping printed digests\n",
+                         flip_token.c_str());
+            digest_flip = 1;
         }
         if (orchestrate)
             return runOrchestrate(manifest, argv[0], shards,
                                   deadline_ms, progress, audit);
-        if (single)
-            return runSingle(manifest, audit);
-        return runShard(manifest, heartbeat, audit, crash_after);
+        if (single) {
+            manifest.shardIndex = 0;
+            manifest.shardCount = 1;
+        }
+        return runJobs(manifest, single, heartbeat, audit, crash_after,
+                       digest_flip);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
