@@ -203,6 +203,9 @@ spawnAttempt(ShardState &s, const OrchestratorConfig &cfg,
         ::close(fds[1]);
         ::close(err_fds[0]);
         ::close(err_fds[1]);
+        // Process-level sharding replaces thread fan-out: one sweep
+        // thread per worker.
+        ::setenv("KILO_SWEEP_THREADS", "1", 1);
         std::vector<std::string> args;
         args.push_back(cfg.workerPath);
         for (const auto &a : cfg.workerArgs)

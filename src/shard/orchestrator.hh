@@ -29,9 +29,10 @@
  * on the parent's stderr. Every other stderr line is forwarded
  * through verbatim and its tail kept for failure reports.
  *
- * Each worker runs its jobs one at a time (process-level sharding is
- * the only fan-out); all workers replaying a common trace share its
- * pages through the mmap reader and the page cache.
+ * Workers are started with one sweep thread each
+ * (KILO_SWEEP_THREADS=1): process-level sharding replaces thread
+ * fan-out. All workers replaying a common trace share its pages
+ * through the mmap reader and the page cache.
  */
 
 #pragma once

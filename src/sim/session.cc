@@ -178,6 +178,7 @@ Session::run()
 stats::Snapshot
 Session::snapshot() const
 {
+    requireRestored();
     return core_->statsRegistry().snapshot();
 }
 
@@ -224,6 +225,7 @@ Session::checkpoint() const
 uint64_t
 Session::stateDigest() const
 {
+    requireRestored();
     // The same payload traversal as checkpoint(), folded instead of
     // stored, then every registered statistic: the audit plane hashes
     // exactly what a checkpoint would capture plus what a JSONL row
@@ -249,9 +251,6 @@ Session::recordAudit()
 void
 Session::restore(const ckpt::Checkpoint &c)
 {
-    // Set until the whole image has been applied: a component that
-    // throws midway leaves the state part restored, part fresh.
-    restoreIncomplete = true;
     ckpt::Source s(c.bytes);
     std::string machine = s.str();
     if (machine != machineName)
@@ -263,6 +262,11 @@ Session::restore(const ckpt::Checkpoint &c)
         throw ckpt::CheckpointError(
             "checkpoint was taken on workload '" + workload +
             "', this session runs '" + wl->name() + "'");
+    // Set until the whole image has been applied: a component that
+    // throws from here on leaves the state part restored, part fresh.
+    // The identity checks above overwrite nothing, so a rejection
+    // there leaves the Session as it was.
+    restoreIncomplete = true;
     warmedUp = s.scalar<uint8_t>() != 0;
     aborted_ = s.scalar<uint8_t>() != 0;
     measureStartCycle = s.scalar<uint64_t>();

@@ -167,9 +167,13 @@ class Session
      * throws ckpt::CheckpointError. Interval samples are not part of
      * the image; restore() clears them. A restore that throws may
      * have overwritten part of the state: until a later restore()
-     * completes, warmup(), step(), runFor(), run(), finish() and
-     * checkpoint() throw ckpt::CheckpointError instead of running on
-     * a mix of restored and fresh state. @{
+     * completes, warmup(), step(), runFor(), run(), finish(),
+     * checkpoint(), snapshot() and stateDigest() throw
+     * ckpt::CheckpointError instead of reading a mix of restored and
+     * fresh state; the plain counters (finished(), aborted(),
+     * measuredCycles(), measuredCommitted()) are unchecked. An image
+     * rejected for its machine or workload name overwrites nothing
+     * and leaves the Session usable. @{
      */
     ckpt::Checkpoint checkpoint() const;
     void restore(const ckpt::Checkpoint &c);

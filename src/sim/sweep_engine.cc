@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <ostream>
 #include <thread>
 
@@ -37,42 +38,66 @@ std::vector<RunResult>
 SweepEngine::run(const std::vector<SweepJob> &jobs) const
 {
     std::vector<RunResult> results(jobs.size());
+    runOrdered(
+        jobs.size(),
+        [&](size_t i) {
+            const SweepJob &job = jobs[i];
+            return Simulator::run(job.machine, job.workload, job.mem,
+                                  job.run);
+        },
+        [&](size_t i, RunResult &r) { results[i] = std::move(r); });
+    return results;
+}
 
-    auto execute = [&](size_t i) {
-        const SweepJob &job = jobs[i];
-        results[i] =
-            Simulator::run(job.machine, job.workload, job.mem,
-                           job.run);
-    };
-
-    unsigned workers =
-        unsigned(std::min<size_t>(numThreads, jobs.size()));
+void
+SweepEngine::runOrdered(
+    size_t count, const std::function<RunResult(size_t)> &job,
+    const std::function<void(size_t, RunResult &)> &done) const
+{
+    unsigned workers = unsigned(std::min<size_t>(numThreads, count));
     if (workers <= 1) {
-        for (size_t i = 0; i < jobs.size(); ++i)
-            execute(i);
-        return results;
+        for (size_t i = 0; i < count; ++i) {
+            RunResult r = job(i);
+            done(i, r);
+        }
+        return;
     }
 
     // Self-scheduling index dispatch: each worker claims the next
-    // unstarted job. Runs share nothing, so placement does not affect
-    // the results, only the finish time.
+    // unstarted job; its future carries the result (or exception) to
+    // the calling thread, which drains them in index order. Runs
+    // share nothing, so placement affects only the finish time.
+    std::vector<std::packaged_task<RunResult()>> tasks;
+    std::vector<std::future<RunResult>> results;
+    tasks.reserve(count);
+    results.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        tasks.emplace_back([&job, i] { return job(i); });
+        results.push_back(tasks.back().get_future());
+    }
     std::atomic<size_t> next{0};
     auto worker = [&]() {
-        for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            execute(i);
-        }
+        size_t i;
+        while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count)
+            tasks[i]();
     };
-
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (unsigned t = 0; t < workers; ++t)
         pool.emplace_back(worker);
+    try {
+        for (size_t i = 0; i < count; ++i) {
+            RunResult r = results[i].get();
+            done(i, r);
+        }
+    } catch (...) {
+        next.store(count);  // workers start nothing more
+        for (auto &th : pool)
+            th.join();
+        throw;
+    }
     for (auto &th : pool)
         th.join();
-    return results;
 }
 
 std::vector<size_t>

@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -63,6 +64,21 @@ class SweepEngine
      * or there is one job.
      */
     std::vector<RunResult> run(const std::vector<SweepJob> &jobs) const;
+
+    /**
+     * Streaming form of run() for any job body: run @p job(i) for
+     * every i in [0, count) over the pool, and hand each result to
+     * @p done(i, result) on the calling thread in index order, as
+     * soon as it and every earlier result are ready — so a consumer
+     * that prints rows or reports progress sees the same sequence at
+     * any pool size. An exception from a job is rethrown here when
+     * its turn to be delivered comes, as is one from @p done, after
+     * the pool has drained the jobs already started.
+     */
+    void runOrdered(size_t count,
+                    const std::function<RunResult(size_t)> &job,
+                    const std::function<void(size_t, RunResult &)>
+                        &done) const;
 
     /**
      * Deterministic job→shard partitioning: the global job indices

@@ -185,6 +185,15 @@ TEST(Checkpoint, MismatchedIdentityRejected)
     Session other_workload(MachineConfig::dkip2048(), "swim",
                            mem::MemConfig::mem400(), rc);
     EXPECT_THROW(other_workload.restore(snap), ckpt::CheckpointError);
+
+    // A name mismatch is caught before any state is overwritten, so
+    // both Sessions still run as if the restore was never tried.
+    other_machine.run();
+    EXPECT_EQ(runResultJson(other_machine.finish()),
+              uninterruptedRow(MachineConfig::r10_64(), "mcf", rc));
+    other_workload.run();
+    EXPECT_EQ(runResultJson(other_workload.finish()),
+              uninterruptedRow(MachineConfig::dkip2048(), "swim", rc));
 }
 
 /** A checkpoint restored into a different memory geometry (MSHR
@@ -259,6 +268,8 @@ TEST(Checkpoint, MismatchedWindowConfigRejected)
         EXPECT_THROW(dst.step(100), ckpt::CheckpointError);
         EXPECT_THROW(dst.runFor(100), ckpt::CheckpointError);
         EXPECT_THROW(dst.checkpoint(), ckpt::CheckpointError);
+        EXPECT_THROW(dst.snapshot(), ckpt::CheckpointError);
+        EXPECT_THROW(dst.stateDigest(), ckpt::CheckpointError);
     }
 
     // The matching configuration still restores.

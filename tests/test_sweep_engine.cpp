@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/sim/sweep.hh"
 #include "src/sim/sweep_engine.hh"
@@ -111,6 +114,51 @@ TEST(SweepEngine, RepeatedParallelRunsAreDeterministic)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].ipc, b[i].ipc);
         EXPECT_EQ(a[i].stats.cycles, b[i].stats.cycles);
+    }
+}
+
+/** runOrdered hands results to the consumer in index order at any
+ *  pool size, each result the one its job produced. */
+TEST(SweepEngine, RunOrderedDeliversInIndexOrder)
+{
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<size_t> delivered;
+        SweepEngine(threads).runOrdered(
+            32,
+            [](size_t i) {
+                RunResult r;
+                r.workload = std::to_string(i);
+                return r;
+            },
+            [&](size_t i, RunResult &r) {
+                EXPECT_EQ(r.workload, std::to_string(i));
+                delivered.push_back(i);
+            });
+        ASSERT_EQ(delivered.size(), 32u) << threads << " threads";
+        for (size_t i = 0; i < delivered.size(); ++i)
+            EXPECT_EQ(delivered[i], i) << threads << " threads";
+    }
+}
+
+/** A job that throws stops delivery at its index and the exception
+ *  reaches the caller; every earlier result was delivered. */
+TEST(SweepEngine, RunOrderedRethrowsAJobFailureInOrder)
+{
+    for (unsigned threads : {1u, 4u}) {
+        std::vector<size_t> delivered;
+        EXPECT_THROW(SweepEngine(threads).runOrdered(
+                         16,
+                         [](size_t i) {
+                             if (i == 5)
+                                 throw std::runtime_error("job 5");
+                             return RunResult();
+                         },
+                         [&](size_t i, RunResult &) {
+                             delivered.push_back(i);
+                         }),
+                     std::runtime_error);
+        EXPECT_EQ(delivered, (std::vector<size_t>{0, 1, 2, 3, 4}))
+            << threads << " threads";
     }
 }
 

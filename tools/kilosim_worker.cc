@@ -54,11 +54,14 @@
  *         which must surface as an audit-digest mismatch. (A flip of
  *         the simulated state itself is kilodiff's --flip-cycle.)
  *
- * Shard mode and --single share one loop: each job runs through
- * shard::Manifest::runJob (exact or sampled, per the manifest), one
- * at a time; process-level sharding is the only fan-out.
- * Trace-backed jobs replay through the mmap reader, so co-located
- * workers share one file's pages.
+ * Shard mode and --single share one job loop: the slice's jobs run
+ * through shard::Manifest::runJob (exact or sampled, per the
+ * manifest) on a SweepEngine pool — KILO_SWEEP_THREADS threads, else
+ * one per core — and each row is printed in job order as soon as it
+ * and every earlier row are done. The orchestrator starts its
+ * workers with KILO_SWEEP_THREADS=1, since its shards are already
+ * the fan-out. Trace-backed jobs replay through the mmap reader, so
+ * co-located workers share one file's pages.
  */
 
 #include <algorithm>
@@ -125,11 +128,12 @@ printAuditLine(size_t job_index, uint64_t rolling)
 }
 
 /**
- * Run the manifest's shard one job at a time, printing each row as
- * it completes — tagged "<job-index> <json>" in shard mode, plain
+ * Run the manifest's shard, printing each row in job order as soon
+ * as it is ready — tagged "<job-index> <json>" in shard mode, plain
  * JSONL for --single (whose manifest is the whole matrix, shard 0/1).
  * Rows and digests are flushed per job, so a crashed attempt leaves
- * harvestable partial output.
+ * harvestable partial output. With a multi-thread pool a heartbeat's
+ * last-job time is the gap since the previous row.
  */
 int
 runJobs(const shard::Manifest &manifest, bool single, bool heartbeat,
@@ -144,9 +148,11 @@ runJobs(const shard::Manifest &manifest, bool single, bool heartbeat,
     auto start = ClockMs::now();
     auto last = start;
     uint64_t insts_done = 0;
-    for (size_t k = 0; k < indices.size(); ++k) {
+    auto run_job = [&](size_t k) {
+        return manifest.runJob(jobs[indices[k]]);
+    };
+    auto print_row = [&](size_t k, sim::RunResult &result) {
         size_t job = indices[k];
-        sim::RunResult result = manifest.runJob(jobs[job]);
         uint64_t digest = result.auditRolling ^ digest_flip;
         if (!single)
             std::printf("%zu ", job);  // the orchestrator's merge key
@@ -164,7 +170,7 @@ runJobs(const shard::Manifest &manifest, bool single, bool heartbeat,
         }
 
         if (!heartbeat)
-            continue;
+            return;
         // kilolint: allow(nondeterminism) heartbeat job timing
         auto t = ClockMs::now();
         auto ms = [](ClockMs::duration d) {
@@ -185,7 +191,8 @@ runJobs(const shard::Manifest &manifest, bool single, bool heartbeat,
         std::fprintf(stderr, "%s\n",
                      obs::serializeHeartbeat(hb).c_str());
         std::fflush(stderr);
-    }
+    };
+    sim::SweepEngine().runOrdered(indices.size(), run_job, print_row);
     for (size_t i = 0; i < digests.size(); ++i)
         printAuditLine(indices[i], digests[i]);
     return 0;
