@@ -161,21 +161,6 @@ struct DynInst
     int8_t llrfBank = -1;
     int16_t llrfSlot = -1;
     /** @} */
-
-    /**
-     * Reinitialise every hot field for a fresh allocation, preserving
-     * the slot generation. Assigning from a value-initialised
-     * instance covers fields added later without a hand-maintained
-     * list (stale state from the previous tenant would otherwise leak
-     * silently). @pre the dependent chain was released to the pool.
-     */
-    void
-    reset()
-    {
-        uint32_t keep_gen = gen;
-        *this = DynInst();
-        gen = keep_gen;
-    }
 };
 
 static_assert(sizeof(DynInst) <= 64,

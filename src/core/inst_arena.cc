@@ -49,6 +49,18 @@ InstArena::depAlloc()
     return node;
 }
 
+namespace
+{
+
+// The records a fresh allocation copies. Copying from a value-
+// initialised record covers fields added later without a hand-kept
+// list; copying from static storage, rather than assigning a
+// temporary, keeps the reset free of a zeroed stack copy.
+const DynInst FreshInst{};
+const DynInstCold FreshCold{};
+
+} // anonymous namespace
+
 InstRef
 InstArena::alloc()
 {
@@ -58,8 +70,10 @@ InstArena::alloc()
     DynInst &inst = slotAt(idx);
     KILO_ASSERT(inst.depHead == DynInst::NoDep,
                 "recycled slot still holds a dependent chain");
-    inst.reset();
-    coldAt(idx) = DynInstCold();
+    const uint32_t keep_gen = inst.gen;
+    inst = FreshInst;
+    inst.gen = keep_gen;
+    coldAt(idx) = FreshCold;
     inst.self = InstRef::make(idx, inst.gen & InstRef::GenMask);
     KILO_ASSERT(inst.self.valid(),
                 "live handle collided with the null sentinel");
@@ -69,8 +83,8 @@ InstArena::alloc()
 
 // Slots are serialized field by field, never as raw slab bytes:
 // DynInst (bitfields) and DynInstCold (tail padding) both carry
-// indeterminate padding, and DynInst::reset()'s whole-struct assign
-// copies a stack temporary's padding into the slab — raw bytes would
+// indeterminate padding, and alloc()'s whole-struct copies carry the
+// fresh records' padding into the slab — raw bytes would
 // make checkpoint payloads (and therefore KILOAUD state digests)
 // vary run to run under ASLR. The exact-size asserts force this list
 // to be revisited whenever either struct grows a field.

@@ -1,5 +1,6 @@
 #include "src/mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/logging.hh"
@@ -46,22 +47,15 @@ SetAssocCache::SetAssocCache(const CacheGeometry &geom)
     store.resize(size_t(sets) * ways);
 }
 
-bool
-SetAssocCache::probeInstall(uint64_t addr, bool count_stats)
+SetAssocCache::Fill
+SetAssocCache::fill(Way *base, uint64_t tag, uint64_t at)
 {
-    if (count_stats)
-        ++nAccesses;
-    ++stamp;
-    uint32_t set = setOf(addr);
-    uint64_t tag = tagOf(addr);
-    Way *base = &store[size_t(set) * ways];
-
     Way *victim = base;
     for (uint32_t w = 0; w < ways; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == tag) {
-            way.lruStamp = stamp;
-            return true;
+            way.lruStamp = at;
+            return {&way, true};
         }
         if (!way.valid) {
             victim = &way;
@@ -70,12 +64,71 @@ SetAssocCache::probeInstall(uint64_t addr, bool count_stats)
         }
     }
 
-    if (count_stats)
-        ++nMisses;
     victim->valid = true;
     victim->tag = tag;
-    victim->lruStamp = stamp;
-    return false;
+    victim->lruStamp = at;
+    return {victim, false};
+}
+
+bool
+SetAssocCache::probeInstall(uint64_t addr, bool count_stats)
+{
+    if (count_stats)
+        ++nAccesses;
+    Fill f = fill(&store[size_t(setOf(addr)) * ways], tagOf(addr),
+                  ++stamp);
+    if (count_stats && !f.hit)
+        ++nMisses;
+    return f.hit;
+}
+
+void
+SetAssocCache::accessLines(uint64_t addr, uint64_t count)
+{
+    if (count == 0)
+        return;
+    const uint64_t first = lineOf(addr);
+    KILO_ASSERT(count - 1 <= (~uint64_t(0) >> lineShift) - first,
+                "accessLines range wraps the address space");
+
+    // Sweep access i (line first + i) runs at stamp stamp0 + i + 1.
+    // Set first + d sees the lines first + d + j * sets, j = 0..m-1,
+    // whose tags tag0 + j strictly increase. Its first min(ways, m)
+    // accesses each touch a way no earlier access of this sweep
+    // touched: a hit finds a tag no touched way holds, and a miss
+    // takes an invalid way or the oldest stamp, which is an untouched
+    // way's because touched ways are stamped above stamp0. Those run
+    // the normal fill. Every later access misses and evicts the way
+    // of access j - ways, so way order[r] ends holding the last j of
+    // residue r mod ways.
+    const uint64_t stamp0 = stamp;
+    const uint64_t used_sets = std::min<uint64_t>(count, sets);
+    std::vector<uint32_t> order(ways);
+    uint64_t misses = 0;
+    for (uint64_t d = 0; d < used_sets; ++d) {
+        Way *base = &store[size_t((first + d) & setMask) * ways];
+        const uint64_t tag0 = (first + d) >> setShift;
+        const uint64_t m = (count - 1 - d) / sets + 1;
+        const uint64_t direct = std::min<uint64_t>(m, ways);
+        for (uint64_t j = 0; j < direct; ++j) {
+            Fill f = fill(base, tag0 + j, stamp0 + d + j * sets + 1);
+            order[j] = uint32_t(f.way - base);
+            misses += f.hit ? 0 : 1;
+        }
+        if (m <= ways)
+            continue;
+        misses += m - ways;
+        const uint64_t top = (m - 1) / ways * ways;
+        for (uint32_t r = 0; r < ways; ++r) {
+            const uint64_t j = top + r < m ? top + r : top + r - ways;
+            Way &way = base[order[r]];
+            way.tag = tag0 + j;
+            way.lruStamp = stamp0 + d + j * sets + 1;
+        }
+    }
+    stamp = stamp0 + count;
+    nAccesses += count;
+    nMisses += misses;
 }
 
 bool

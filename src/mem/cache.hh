@@ -4,7 +4,9 @@
  *
  * Only tags are modelled — the simulator is trace driven and never
  * needs data. One instance each models the L1D and the (size-swept)
- * L2 of the paper's memory subsystems.
+ * L2 of the paper's memory subsystems. A sweep of consecutive lines
+ * (accessLines, the cache prewarm) is applied in closed form, with
+ * the same result as one access() per line.
  */
 
 #pragma once
@@ -42,6 +44,17 @@ class SetAssocCache
      * @return true on hit.
      */
     bool access(uint64_t addr);
+
+    /**
+     * Access @p count consecutive lines from @p addr's: the same tag,
+     * LRU and counter state as access() on each in address order, at
+     * a cost of at most one probe per way (sets x ways probes) rather
+     * than one per line. Exact whenever no valid way is stamped later
+     * than the clock, which holds for every state access(), touch(),
+     * invalidateAll() and load() of a save() can reach.
+     * @pre the range does not wrap the address space
+     */
+    void accessLines(uint64_t addr, uint64_t count);
 
     /**
      * Evolve tag state exactly as access() would — LRU refresh on a
@@ -139,6 +152,18 @@ class SetAssocCache
 
     uint64_t tagOf(uint64_t addr) const { return lineOf(addr) >> setShift; }
     /** @} */
+
+    /** The way one probe touched, and whether it hit. */
+    struct Fill
+    {
+        Way *way;
+        bool hit;
+    };
+
+    /** Probe the set at @p base for @p tag and stamp the way at
+     *  @p at: refresh a hit, else fill the last invalid way or evict
+     *  the first of the oldest stamp. */
+    Fill fill(Way *base, uint64_t tag, uint64_t at);
 
     bool probeInstall(uint64_t addr, bool count_stats);
 

@@ -248,13 +248,14 @@ MemoryHierarchy::wouldBlockProbe(uint64_t addr, uint64_t now)
 void
 MemoryHierarchy::prewarm(uint64_t base, uint64_t bytes)
 {
-    for (uint64_t addr = base; addr < base + bytes;
-         addr += cfg.lineBytes) {
-        if (l1)
-            l1->access(addr);
-        if (l2)
-            l2->access(addr);
-    }
+    // A region whose end wraps past 2^64 installs nothing.
+    if (bytes == 0 || base + bytes < base)
+        return;
+    const uint64_t lines = (bytes - 1) / cfg.lineBytes + 1;
+    if (l1)
+        l1->accessLines(base, lines);
+    if (l2)
+        l2->accessLines(base, lines);
 }
 
 void

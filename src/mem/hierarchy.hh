@@ -215,9 +215,12 @@ class MemoryHierarchy
     void registerStats(stats::Registry &reg);
 
     /**
-     * Install the lines of [base, base+bytes) into the tag arrays in
-     * address order (functional warm-up; no latency, no statistics
-     * beyond LRU state).
+     * Access the ceil(bytes / lineBytes) lines from @p base's in
+     * address order, L1 and L2 each (functional warm-up; no latency,
+     * MSHR or hierarchy statistics). The caches end byte-identical
+     * to an access() per line, at a cost bounded by each level's size
+     * however large the region (SetAssocCache::accessLines). A region
+     * whose end wraps past 2^64 installs nothing.
      */
     void prewarm(uint64_t base, uint64_t bytes);
 

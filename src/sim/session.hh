@@ -27,7 +27,9 @@
  *
  * The Session owns everything a run needs (workload or a borrowed
  * caller workload, core, arena, memory hierarchy), applies the
- * functional cache prewarm at construction, honours
+ * functional cache prewarm at construction (MemoryHierarchy::prewarm
+ * over Workload::regions(), closed-form: its cost is the caches'
+ * size, not the working set's), honours
  * RunConfig::maxCycles as a measured-region deadline (finished runs
  * report RunResult::aborted) and records stats::IntervalSamples every
  * RunConfig::intervalInsts committed instructions.

@@ -64,6 +64,12 @@ parseHeader(MemSource &src, const std::string &path, TraceMeta &meta,
         wload::AddressRegion r;
         r.base = src.scalar<uint64_t>("region base");
         r.bytes = src.scalar<uint64_t>("region size");
+        if (r.base + r.bytes < r.base) {
+            throw TraceError("trace header region " +
+                             std::to_string(i) +
+                             " wraps past the end of the 64-bit "
+                             "address space: " + path);
+        }
         meta.regions.push_back(r);
     }
 }

@@ -33,6 +33,12 @@
 #                 lines); the same matrix sampled (src/sample/)
 #                 merges byte-identical from 2 shards. Needs the
 #                 examples: custom_workload records the trace.
+#   trace         KILOTRC record/replay (src/trace/DESIGN.md): a swim
+#                 trace captured from a live run replays, header
+#                 regions prewarmed, to a byte-identical JSONL row,
+#                 and passes trace_info's integrity walk (header op
+#                 count vs blocks) and --verify walk (framing and
+#                 checksums). Needs the examples, like sharded.
 set -eu
 
 case_name=$1
@@ -109,6 +115,13 @@ EOF
         > sharded_smp.jsonl
     diff single_smp.jsonl sharded_smp.jsonl
     test "$(wc -l < single_smp.jsonl)" -eq 9
+    ;;
+  trace)
+    "$bin/custom_workload" --record golden.ktrc swim > live.jsonl
+    "$bin/custom_workload" --replay golden.ktrc > replay.jsonl
+    diff live.jsonl replay.jsonl
+    "$bin/trace_info" golden.ktrc > info.txt
+    "$bin/trace_info" --verify golden.ktrc > verify.txt
     ;;
   *)
     echo "golden_diff.sh: unknown case '$case_name'" >&2

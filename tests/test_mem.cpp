@@ -17,6 +17,8 @@
 #include "src/mem/hierarchy.hh"
 #include "src/mem/mshr.hh"
 #include "src/util/rng.hh"
+#include "src/wload/profile.hh"
+#include "src/wload/synthetic.hh"
 
 using namespace kilo;
 using namespace kilo::mem;
@@ -299,6 +301,68 @@ TEST(Cache, NonPow2SetCountRoundsDownInsteadOfPanicking)
     EXPECT_EQ(c.numSets(), 512u);
     EXPECT_FALSE(c.access(0x1000));
     EXPECT_TRUE(c.access(0x1000));
+}
+
+TEST(Cache, AccessLinesMatchesPerLineAccessRandomized)
+{
+    // accessLines() against access() on every line of the range: all
+    // tags, LRU stamps, valid bits, the clock and both counters (the
+    // whole save() image) must agree after every step. Each round
+    // starts from a random prior state; ranges start unaligned,
+    // overlap earlier ones, run empty, short, or many times the
+    // capacity, with single accesses, touches and invalidations in
+    // between.
+    Rng rng(0x5eed);
+    for (int round = 0; round < 3000; ++round) {
+        CacheGeometry g;
+        g.assoc = 1 + uint32_t(rng.range(16));
+        const uint64_t sets = uint64_t(1) << rng.range(8);
+        g.lineBytes = rng.range(2) ? 64 : 32;
+        g.sizeBytes = sets * g.assoc * g.lineBytes;
+        SetAssocCache fast(g), ref(g);
+        const uint64_t capacity = sets * g.assoc;
+        const uint64_t origin = rng.range(uint64_t(1) << 40);
+        const uint64_t window = 3 * capacity * g.lineBytes;
+        SCOPED_TRACE("round " + std::to_string(round) + ": " +
+                     std::to_string(sets) + " sets x " +
+                     std::to_string(g.assoc) + " ways");
+        for (uint64_t k = rng.range(2 * capacity); k > 0; --k) {
+            uint64_t addr = origin + rng.range(window);
+            fast.access(addr);
+            ref.access(addr);
+        }
+        for (int step = 0; step < 12; ++step) {
+            uint64_t addr = origin + rng.range(window);
+            switch (rng.range(8)) {
+              case 0:
+                ASSERT_EQ(fast.access(addr), ref.access(addr));
+                break;
+              case 1:
+                fast.touch(addr);
+                ref.touch(addr);
+                break;
+              case 2:
+                if (rng.range(4) == 0) {
+                    fast.invalidateAll();
+                    ref.invalidateAll();
+                }
+                break;
+              default: {
+                // Up to 2 lines, twice the ways, the capacity, or
+                // four times the capacity.
+                const uint64_t limit[] = {2, 2 * g.assoc, capacity,
+                                          4 * capacity};
+                const uint64_t count = rng.range(limit[rng.range(4)] + 1);
+                fast.accessLines(addr, count);
+                for (uint64_t i = 0; i < count; ++i)
+                    ref.access(addr + i * g.lineBytes);
+                break;
+              }
+            }
+            ASSERT_EQ(checkpointOf(fast), checkpointOf(ref))
+                << "step " << step;
+        }
+    }
 }
 
 // -------------------------------------------------------- MshrFile
@@ -607,6 +671,75 @@ TEST(Hierarchy, PrewarmRespectsCapacityLru)
     // The tail survives.
     auto tail = m.access(0x100000 + 1024 * 1024 - 64, false, 0);
     EXPECT_NE(tail.level, ServiceLevel::Memory);
+}
+
+TEST(Hierarchy, PrewarmMatchesPerLineWalk)
+{
+    // Every preset's regions, in the order a Session prewarms them,
+    // against a reference that walks them line by line with access()
+    // on caches of the hierarchy's geometry. The MSHR file and the
+    // hierarchy counters stay as constructed, so the reference image
+    // is the walked caches followed by a fresh hierarchy's tail. The
+    // 384 KB sweep point has a non-power-of-two set count.
+    std::vector<std::vector<wload::AddressRegion>> workloads;
+    for (const auto &profile : wload::allProfiles())
+        workloads.push_back(wload::makeWorkload(profile)->regions());
+    ASSERT_EQ(workloads.size(), 26u);
+
+    const MemConfig configs[] = {
+        MemConfig::mem400(),
+        MemConfig::l2Perfect11(),
+        MemConfig::withL2Size(384 * 1024),
+    };
+    for (const MemConfig &cfg : configs) {
+        CacheGeometry l1g{cfg.l1Size, cfg.l1Assoc, cfg.lineBytes};
+        CacheGeometry l2g{cfg.l2Size, cfg.l2Assoc, cfg.lineBytes};
+        const bool has_l2 = cfg.hasL2 && !cfg.perfectL2;
+        const std::vector<uint8_t> fresh =
+            checkpointOf(MemoryHierarchy(cfg));
+        for (size_t w = 0; w < workloads.size(); ++w) {
+            SCOPED_TRACE(cfg.name + " / workload " + std::to_string(w));
+            MemoryHierarchy m(cfg);
+            SetAssocCache l1(l1g), l2(l2g);
+            size_t cache_bytes = checkpointOf(l1).size() +
+                                 (has_l2 ? checkpointOf(l2).size() : 0);
+            for (const auto &r : workloads[w]) {
+                m.prewarm(r.base, r.bytes);
+                for (uint64_t a = r.base; a < r.base + r.bytes;
+                     a += cfg.lineBytes) {
+                    l1.access(a);
+                    if (has_l2)
+                        l2.access(a);
+                }
+            }
+            ckpt::Sink ref;
+            l1.save(ref);
+            if (has_l2)
+                l2.save(ref);
+            std::vector<uint8_t> want = ref.take();
+            want.insert(want.end(), fresh.begin() + cache_bytes,
+                        fresh.end());
+            ASSERT_EQ(checkpointOf(m), want);
+        }
+    }
+}
+
+TEST(Hierarchy, PrewarmOfWrappingRegionInstallsNothing)
+{
+    // A region whose end passes 2^64 installs no line; one that ends
+    // just below it covers its lines up to the top of the space.
+    MemoryHierarchy m(MemConfig::mem400());
+    const std::vector<uint8_t> fresh = checkpointOf(m);
+    m.prewarm(~uint64_t(0) - 63, 128);
+    m.prewarm(~uint64_t(0) - 63, 64);
+    EXPECT_EQ(checkpointOf(m), fresh);
+    m.prewarm(~uint64_t(0) - 100, 99);
+    m.resetStats();
+    EXPECT_EQ(m.access(~uint64_t(0) - 100, false, 0).level,
+              ServiceLevel::L1);
+    EXPECT_EQ(m.access(~uint64_t(0) - 2, false, 0).level,
+              ServiceLevel::L1);
+    EXPECT_EQ(m.l1Misses(), 0u);
 }
 
 TEST(Hierarchy, StoreInstallsLine)

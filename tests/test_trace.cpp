@@ -20,6 +20,7 @@
 
 #include <sys/stat.h>
 
+#include "src/sim/session.hh"
 #include "src/sim/sweep_engine.hh"
 #include "src/trace/capture.hh"
 #include "src/trace/trace_reader.hh"
@@ -450,6 +451,52 @@ TEST_F(TraceTest, RejectsVersionMismatch)
         EXPECT_NE(std::string(e.what()).find("version"),
                   std::string::npos);
     }
+}
+
+TEST_F(TraceTest, RejectsWrappingPrewarmRegion)
+{
+    // base + bytes must fit in 64 bits; the error names the region.
+    auto path = tracePath("wrap_region");
+    TraceMeta meta;
+    meta.regions = {{0x1000, 4096}, {~uint64_t(0) - 4095, 4096}};
+    {
+        Writer w(path, meta);
+        w.append(isa::makeNop(0x1000));
+        w.finish();
+    }
+    try {
+        Reader r(path);
+        FAIL() << "wrapping region not detected";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("region 1 wraps"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(TraceWorkload wl(path), TraceError);
+}
+
+TEST_F(TraceTest, HugeRegionThatDoesNotWrapIsCheapToPrewarm)
+{
+    // A 2^50-byte region and one ending at the last byte of the
+    // address space are legal, and a Session over them constructs
+    // at once: the prewarm costs the caches' size, not the region's.
+    auto path = tracePath("huge_region");
+    TraceMeta meta;
+    meta.name = "huge";
+    meta.regions = {{0x1000, uint64_t(1) << 50},
+                    {~uint64_t(0) - 4095, 4095}};
+    {
+        Writer w(path, meta);
+        for (int i = 0; i < 64; ++i)
+            w.append(isa::makeLoad(8, 4, 0x1000 + 64 * i, 0x100));
+        w.finish();
+    }
+    Reader r(path);
+    ASSERT_EQ(r.meta().regions.size(), 2u);
+    EXPECT_EQ(r.meta().regions[0].bytes, uint64_t(1) << 50);
+    sim::Session session(sim::MachineConfig::dkip2048(),
+                         "trace:" + path, mem::MemConfig::mem400());
+    EXPECT_EQ(session.measuredCommitted(), 0u);
 }
 
 TEST_F(TraceTest, RejectsTruncatedHeader)
